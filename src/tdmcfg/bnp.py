@@ -371,9 +371,14 @@ def solve_bnp(
                 phi = Fraction(
                     sum(col.slot_count for col in chosen.values()), f
                 )
-                if schedule_feasible(schedule, instance).feasible and (
-                    incumbent is None or phi * f < best_slots
-                ):
+                if not schedule_feasible(schedule, instance).feasible:
+                    # each pooled column meets its client's requirements, so a
+                    # conflict-free choice of them must verify
+                    raise RuntimeError(
+                        f"integral master at node {node.decisions} "
+                        "gives an infeasible schedule"
+                    )
+                if incumbent is None or phi * f < best_slots:
                     incumbent, incumbent_phi = schedule, phi
                     best_slots = int(phi * f)
                     stats.incumbent_updates += 1

@@ -6,6 +6,11 @@ column with negative reduced cost under the master's shadow prices.
 
 Sign convention: sigma values are stored so the reduced cost of a column
 is sum_j mask_j * lambda_j + slot_count / f - sigma directly.
+
+The master's variables are its columns (client-major, pool order) and
+then one over-allocation ``y`` per slot; its rows are one capacity row
+per slot and then one convexity row per client.  The dual-selection LP
+has one ``lam`` per slot and then one ``sig`` per client.
 """
 
 from __future__ import annotations
@@ -13,25 +18,19 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ilp import (
-    find_latency_violation,
-    service_row,
-    strengthened_rows,
-    window_slots,
-    xname,
-)
+import numpy as np
+
+from .ilp import find_latency_violation, service_row, service_rows, strengthened_rows
 from .mip import (
-    Constraint,
     LinearModel,
     LpSolution,
     LpStatus,
     MipStatus,
-    Variable,
     solve_lp,
     solve_mip,
+    stack_rows,
 )
 from .model import (
     ClientRequirement,
@@ -147,65 +146,57 @@ class MasterSolution:
         return chosen
 
 
-def _wname(client_id: int, k: int) -> str:
-    return f"w_{client_id}_{k}"
+def _masks(columns: Sequence[Column], frame_size: int) -> np.ndarray:
+    return np.array([col.mask for col in columns], dtype=float).reshape(-1, frame_size)
 
 
 def build_master(
     pool: ColumnPool, node, instance: ProblemInstance
-) -> LinearModel:
-    """Restricted master LP over the admissible columns of a node."""
+) -> tuple[LinearModel, list[tuple[int, int]]]:
+    """Restricted master LP over the admissible columns of a node.
+
+    Returns the model and the (client id, pool index) of each column
+    variable, in variable order.
+    """
     decisions = node_decisions(node)
     f = instance.frame_size
-    variables = []
-    cap_terms: dict[int, dict[str, float]] = {j: {} for j in range(1, f + 1)}
-    cvx_terms: dict[int, dict[str, float]] = {}
-    for client in instance.clients:
-        cols = pool.columns(client.id)
-        if not cols:
-            raise NodeInfeasibleError(client.id)
+    n = instance.n_clients
+    keys, columns, upper, owner = [], [], [], []
+    for p, client in enumerate(instance.clients):
         admissible = {k for k, _ in pool.admissible(client.id, decisions)}
         if not admissible:
             raise NodeInfeasibleError(client.id)
-        cvx = {}
-        for k, col in enumerate(cols):
-            name = _wname(client.id, k)
-            upper = math.inf if k in admissible else 0.0
-            variables.append(Variable(name, 0.0, upper, col.slot_count / f))
-            cvx[name] = 1.0
-            for slot in col.slots():
-                cap_terms[slot][name] = 1.0
-        cvx_terms[client.id] = cvx
-    for j in range(1, f + 1):
-        variables.append(Variable(f"y_{j}", 0.0, float(len(instance.clients)), M_PRIME))
-    constraints = []
-    for j in range(1, f + 1):
-        coeffs = dict(cap_terms[j])
-        coeffs[f"y_{j}"] = -1.0
-        constraints.append(Constraint(f"cap_{j}", tuple(coeffs.items()), "<=", 1.0))
-    for client in instance.clients:
-        constraints.append(
-            Constraint(
-                f"cvx_{client.id}", tuple(cvx_terms[client.id].items()), ">=", 1.0
-            )
-        )
-    return LinearModel(variables, constraints)
+        for k, col in enumerate(pool.columns(client.id)):
+            keys.append((client.id, k))
+            columns.append(col)
+            upper.append(math.inf if k in admissible else 0.0)
+            owner.append(p)
+    masks = _masks(columns, f)
+    m = len(columns)
+    cap = np.hstack([masks.T, -np.eye(f)])
+    cvx = np.hstack([-np.equal.outer(np.arange(n), owner).astype(float), np.zeros((n, f))])
+    A_ub, b_ub = stack_rows([(0, cap, np.ones(f)), (0, cvx, -np.ones(n))], m + f)
+    model = LinearModel(
+        np.concatenate([masks.sum(axis=1) / f, np.full(f, M_PRIME)]),
+        np.zeros(m + f),
+        np.concatenate([upper, np.full(f, float(n))]),
+        np.zeros(m + f, dtype=bool),
+        A_ub,
+        b_ub,
+    )
+    return model, keys
 
 
 def solve_master(
     pool: ColumnPool, node, instance: ProblemInstance
 ) -> tuple[MasterSolution, LpSolution]:
-    model = build_master(pool, node, instance)
+    model, keys = build_master(pool, node, instance)
     lp = solve_lp(model)
     if lp.status != LpStatus.OPTIMAL:
         raise RuntimeError(f"master LP not optimal: {lp.status}")
-    weights = {}
-    for client in instance.clients:
-        for k in range(len(pool.columns(client.id))):
-            weights[(client.id, k)] = lp.primal[_wname(client.id, k)]
-    overalloc = {
-        j: lp.primal[f"y_{j}"] for j in range(1, instance.frame_size + 1)
-    }
+    values = lp.x.tolist()
+    weights = dict(zip(keys, values))
+    overalloc = dict(enumerate(values[len(keys):], start=1))
     return MasterSolution(weights, overalloc, lp.objective), lp
 
 
@@ -213,11 +204,11 @@ def extract_duals(lp: LpSolution, instance: ProblemInstance) -> DualPrices:
     """Shadow prices of the capacity and convexity rows."""
     if lp.status != LpStatus.OPTIMAL:
         raise ValueError("duals only available for an optimal LP")
-    lam = {}
-    for j in range(1, instance.frame_size + 1):
-        value = -lp.duals.get(f"cap_{j}", 0.0)
-        lam[j] = max(0.0, value)  # clip numerical noise below zero
-    sigma = {c.id: lp.duals.get(f"cvx_{c.id}", 0.0) for c in instance.clients}
+    f = instance.frame_size
+    duals = lp.duals.tolist()
+    # clip numerical noise below zero
+    lam = {j: max(0.0, -d) for j, d in enumerate(duals[:f], start=1)}
+    sigma = {c.id: -d for c, d in zip(instance.clients, duals[f:])}
     return DualPrices(lam, sigma)
 
 
@@ -239,38 +230,35 @@ def canonical_duals(
     """
     decisions = node_decisions(node)
     f = instance.frame_size
-    variables = [
-        Variable(f"lam_{j}", 0.0, M_PRIME, 1.0) for j in range(1, f + 1)
-    ]
-    variables += [
-        Variable(f"sig_{c.id}", 0.0, math.inf, 0.0) for c in instance.clients
-    ]
-    constraints = []
-    for client in instance.clients:
-        for k, col in pool.admissible(client.id, decisions):
-            coeffs = {f"lam_{j}": 1.0 for j in col.slots()}
-            coeffs[f"sig_{client.id}"] = -1.0
-            constraints.append(
-                Constraint(
-                    f"rc_{client.id}_{k}",
-                    tuple(coeffs.items()),
-                    ">=",
-                    -col.slot_count / f,
-                )
-            )
-    strong = {f"lam_{j}": -1.0 for j in range(1, f + 1)}
-    for client in instance.clients:
-        strong[f"sig_{client.id}"] = 1.0
-    constraints.append(
-        Constraint("strong_duality", tuple(strong.items()), "==", master_objective)
+    n = instance.n_clients
+    columns, owner = [], []
+    for p, client in enumerate(instance.clients):
+        for _, col in pool.admissible(client.id, decisions):
+            columns.append(col)
+            owner.append(p)
+    masks = _masks(columns, f)
+    # reduced cost of every admissible column >= 0
+    rc = np.hstack([-masks, np.equal.outer(owner, np.arange(n)).astype(float)])
+    A_ub, b_ub = stack_rows([(0, rc, masks.sum(axis=1) / f)], f + n)
+    A_eq, b_eq = stack_rows(
+        [(0, np.concatenate([-np.ones(f), np.ones(n)])[None, :], [master_objective])],
+        f + n,
     )
-    lp = solve_lp(LinearModel(variables, constraints))
+    model = LinearModel(
+        np.concatenate([np.ones(f), np.zeros(n)]),
+        np.zeros(f + n),
+        np.concatenate([np.full(f, M_PRIME), np.full(n, math.inf)]),
+        np.zeros(f + n, dtype=bool),
+        A_ub, b_ub, A_eq, b_eq,
+    )
+    lp = solve_lp(model)
     if lp.status != LpStatus.OPTIMAL:
         if fallback is not None:
             return fallback
         raise RuntimeError("dual-selection LP failed")
-    lam = {j: max(0.0, lp.primal[f"lam_{j}"]) for j in range(1, f + 1)}
-    sigma = {c.id: lp.primal[f"sig_{c.id}"] for c in instance.clients}
+    values = lp.x.tolist()
+    lam = {j: max(0.0, v) for j, v in enumerate(values[:f], start=1)}
+    sigma = {c.id: v for c, v in zip(instance.clients, values[f:])}
     return DualPrices(lam, sigma)
 
 
@@ -283,40 +271,32 @@ def build_sub_model(
 ) -> LinearModel:
     """Single-client pricing model, initially with single-point latency rows.
 
-    ``tie_break`` adds an epsilon-scaled per-slot cost that steers the
-    choice among equal-cost columns (toward slots other clients use less)
-    without disturbing the primary objective.
+    Variable ``s - 1`` is the client holding slot s.  ``tie_break`` adds an
+    epsilon-scaled per-slot cost that steers the choice among equal-cost
+    columns (toward slots other clients use less) without disturbing the
+    primary objective.
     """
     f = frame_size
-    variables = []
-    for j in range(1, f + 1):
-        lo, hi = 0.0, 1.0
-        for client_id, slot, allocate in decisions:
-            if slot != j:
-                continue
-            if client_id == client.id:
-                if allocate:
-                    lo = 1.0
-                else:
-                    hi = 0.0
-            elif allocate:
-                hi = 0.0
-        cost = lam.get(j, 0.0) + 1.0 / f
-        if tie_break:
-            cost += TIE_BREAK_EPS * tie_break.get(j, 0.0)
-        variables.append(Variable(xname(client.id, j), lo, hi, cost, True))
-    constraints = []
+    lower, upper = np.zeros(f), np.ones(f)
+    for client_id, slot, allocate in decisions:
+        if client_id == client.id and allocate:
+            lower[slot - 1] = 1.0
+        elif client_id == client.id or allocate:
+            upper[slot - 1] = 0.0
+    slots = range(1, f + 1)
+    cost = np.array([lam.get(j, 0.0) for j in slots]) + 1.0 / f
+    if tie_break:
+        cost += TIE_BREAK_EPS * np.array([tie_break.get(j, 0.0) for j in slots])
+    blocks = []
     lb = slot_lower_bound(client, f)
     if lb > 0:
-        coeffs = {xname(client.id, j): 1.0 for j in range(1, f + 1)}
-        constraints.append(Constraint("rate", tuple(coeffs.items()), ">=", float(lb)))
+        blocks.append((0, -np.ones((1, f)), [-float(lb)]))
     if client.required_rate > 0:
         theta = client.effective_latency(f)
-        j0 = min(math.floor(theta) + 1, f)
-        for k in range(1, f + 1):
-            constraints.append(service_row(client, f, k, j0))
-        constraints.extend(strengthened_rows(client, f))
-    return LinearModel(variables, constraints)
+        blocks.append((0, *service_rows(client, f, [min(math.floor(theta) + 1, f)])))
+        blocks.append((0, *strengthened_rows(client, f)))
+    A_ub, b_ub = stack_rows(blocks, f)
+    return LinearModel(cost, lower, upper, np.ones(f, dtype=bool), A_ub, b_ub)
 
 
 def price_client(
@@ -339,26 +319,16 @@ def price_client(
     decisions = node_decisions(node)
     model = build_sub_model(client, duals.lam, frame_size, decisions, tie_break)
 
-    def lazy(assignment):
-        mask = [
-            int(round(assignment[xname(client.id, j)]))
-            for j in range(1, frame_size + 1)
-        ]
-        hit = find_latency_violation(mask, client, frame_size)
-        if hit is None:
-            return None
-        k, j = hit
-        return service_row(client, frame_size, k, j)
+    def lazy(x):
+        hit = find_latency_violation(x.astype(int).tolist(), client, frame_size)
+        return None if hit is None else service_row(client, frame_size, *hit)
 
     res = solve_mip(model, lazy=lazy, time_limit=time_limit, optimality_gap=gap)
     if res.status == MipStatus.INFEASIBLE:
         raise ClientInfeasibleError(client.id)
     if res.status == MipStatus.TIMED_OUT:
         raise PricingTimeoutError(client.id)
-    mask = tuple(
-        int(round(res.assignment[xname(client.id, j)]))
-        for j in range(1, frame_size + 1)
-    )
+    mask = tuple(res.x.astype(int).tolist())
     column = Column(client.id, mask)
     reduced_cost = (
         sum(duals.lam.get(j, 0.0) for j in column.slots())
@@ -375,18 +345,25 @@ def zero_duals(instance: ProblemInstance) -> DualPrices:
     )
 
 
-def ensure_seed_columns(pool: ColumnPool, node, instance: ProblemInstance) -> None:
+def ensure_seed_columns(
+    pool: ColumnPool, node, instance: ProblemInstance, time_limit: Optional[float] = None
+) -> None:
     """Guarantee every client has an admissible column under the node.
 
-    Raises NodeInfeasibleError when some client cannot have one at all.
+    Raises NodeInfeasibleError when some client cannot have one at all,
+    and PricingTimeoutError when ``time_limit`` runs out first.
     """
     decisions = node_decisions(node)
     duals = zero_duals(instance)
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     for client in instance.clients:
         if pool.admissible(client.id, decisions):
             continue
+        budget = None if deadline is None else deadline - time.monotonic()
         try:
-            column, _, _ = price_client(client, duals, instance.frame_size, node)
+            column, _, _ = price_client(
+                client, duals, instance.frame_size, node, time_limit=budget
+            )
         except ClientInfeasibleError as exc:
             raise NodeInfeasibleError(client.id) from exc
         pool.add(column)
@@ -397,18 +374,14 @@ class ColGenLimits:
     upper_bound: float = math.inf
     time_limit: Optional[float] = None
     max_iterations: int = 10_000
-    pricing_gap: float = 0.0
     # cap on a single pricing sub-model solve; a time-out there still
     # yields the incumbent column when its reduced cost is negative
     pricing_effort: Optional[float] = 10.0
-    # "all": add every negatively priced column per round (default);
-    # "first": add only the first one, re-solving the master in between
-    add_strategy: str = "all"
 
 
 @dataclass
 class ColGenResult:
-    master: MasterSolution
+    master: Optional[MasterSolution]  # None when seeding columns timed out
     lower_bound: float
     status: str  # "optimal" | "lagrangian_stop" | "stalled" | "timed_out"
     iterations: int
@@ -428,11 +401,6 @@ def _bound_floor(instance: ProblemInstance, lagrangians: list) -> float:
     return max([trivial, *lagrangians])
 
 
-def snap_objective(value: float, frame_size: int) -> Fraction:
-    """Master objectives are rationals of modest denominator; recover them."""
-    return Fraction(value).limit_denominator(frame_size * frame_size)
-
-
 def column_generation(
     pool: ColumnPool,
     node,
@@ -445,13 +413,17 @@ def column_generation(
     Every ``n`` iterations the Lagrangian bound (master value plus the sum
     of all reduced costs) may close the loop early: when it reaches the
     incumbent, or when it discretizes to the same slot count as the
-    current master value.
+    current master value.  ``trace`` receives one
+    (iteration, master objective, {client id: reduced cost}) per iteration.
     """
     limits = limits or ColGenLimits()
     t0 = time.monotonic()
     f = instance.frame_size
     n = instance.n_clients
-    ensure_seed_columns(pool, node, instance)
+    try:
+        ensure_seed_columns(pool, node, instance, limits.time_limit)
+    except PricingTimeoutError:
+        return ColGenResult(None, _bound_floor(instance, []), "timed_out", 0, 0)
     added_total = 0
     iteration = 0
     lagrangians: list = []
@@ -486,7 +458,7 @@ def column_generation(
                     tie_break[s] = tie_break.get(s, 0.0) + cnt
             try:
                 column, xi, proven = price_client(
-                    client, duals, f, node, limits.pricing_gap, budget, tie_break
+                    client, duals, f, node, time_limit=budget, tie_break=tie_break
                 )
             except ClientInfeasibleError as exc:
                 raise NodeInfeasibleError(client.id) from exc
@@ -500,12 +472,9 @@ def column_generation(
                     lagrangians,
                 )
             priced.append((client, column, xi, proven))
-            if limits.add_strategy == "first" and xi < -REDUCED_COST_TOL:
-                break
         if trace is not None:
-            xi_text = " ".join(f"xi[{c.id}]={xi:.6g}" for c, _, xi, _ in priced)
             trace.append(
-                f"iter={iteration} phi_mm={snap_objective(master.objective, f)} {xi_text}"
+                (iteration, master.objective, {c.id: xi for c, _, xi, _ in priced})
             )
         all_proven = all(proven for _, _, _, proven in priced)
         negative = [(c, col, xi) for c, col, xi, _ in priced if xi < -REDUCED_COST_TOL]
@@ -525,9 +494,10 @@ def column_generation(
                 added_total,
                 lagrangians,
             )
-        full_round = len(priced) == n
         lagrangian = master.objective + sum(min(0.0, xi) for _, _, xi, _ in priced)
-        if full_round and all_proven and iteration % n == 0:
+        # the Lagrangian is a bound only when every price is proven
+        bound = lagrangian if all_proven else _bound_floor(instance, lagrangians)
+        if all_proven and iteration % n == 0:
             lagrangians.append(lagrangian)
             same_slots = _slots_of(lagrangian, f) == _slots_of(master.objective, f)
             if lagrangian >= limits.upper_bound - 1e-9 or same_slots:
@@ -536,23 +506,6 @@ def column_generation(
                     lagrangians,
                 )
         if iteration >= limits.max_iterations:
-            sound = all_proven
-            if not full_round:
-                # the bound needs every client's reduced cost
-                done = {c.id for c, _, _, _ in priced}
-                try:
-                    for client in sorted(instance.clients, key=lambda c: c.id):
-                        if client.id not in done:
-                            _, xi, proven = price_client(
-                                client, duals, f, node, limits.pricing_gap, budget
-                            )
-                            lagrangian += min(0.0, xi)
-                            sound = sound and proven
-                except ClientInfeasibleError as exc:
-                    raise NodeInfeasibleError(exc.client_id) from exc
-                except PricingTimeoutError:
-                    sound = False
-            bound = lagrangian if sound else _bound_floor(instance, lagrangians)
             lagrangians.append(bound)
             return ColGenResult(
                 master, bound, "lagrangian_stop", iteration, added_total,
@@ -565,11 +518,6 @@ def column_generation(
         added_total += added_now
         if added_now == 0:
             # duplicate columns priced negative: numerical stall, bail out
-            bound = (
-                lagrangian
-                if full_round and all_proven
-                else _bound_floor(instance, lagrangians)
-            )
             return ColGenResult(
                 master, bound, "stalled", iteration, added_total, lagrangians
             )

@@ -6,6 +6,11 @@ window must be at least (j - latency_bound) * phi_i / f, where phi_i is
 the client's (variable) slot count.  This is the linear form of the exact
 latency definition used by the verifier, so solver and verifier agree.
 Any window rows dropped by the pruning options are enforced lazily.
+
+Variable ``p * f + s - 1`` is client position p holding slot s.  Row
+builders return dense (coefficients, rhs) blocks over one client's f
+slots in ``<=`` form; ``mip.stack_rows`` places them at that client's
+columns.
 """
 
 from __future__ import annotations
@@ -13,15 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .mip import (
-    Constraint,
-    LinearModel,
-    MipStatus,
-    Variable,
-    solve_mip,
-)
+import numpy as np
+
+from .mip import LinearModel, MipStatus, Row, solve_mip, stack_rows
 from .model import (
     ClientRequirement,
     DominanceClass,
@@ -46,10 +47,6 @@ class IlpBuildOptions:
     # each fixing is (client_id, slot (1-based), allocate: bool)
 
 
-def xname(client_id: int, slot: int) -> str:
-    return f"x_{client_id}_{slot}"
-
-
 def window_slots(frame_size: int, k: int, j: int) -> list[int]:
     """1-based slots of the cyclic window of duration j starting at k."""
     return [(k - 1 + off) % frame_size + 1 for off in range(j)]
@@ -70,23 +67,36 @@ def check_fixings(fixings: Iterable[tuple]) -> dict[tuple[int, int], bool]:
     return decided
 
 
-def service_row(
-    client: ClientRequirement, frame_size: int, k: int, j: int
-) -> Constraint:
-    """Window row: slots in window >= (j - latency) / f * total slots."""
-    theta = client.effective_latency(frame_size)
-    coef = float(Fraction(j) - theta) / frame_size
-    coeffs = {xname(client.id, s): -coef for s in range(1, frame_size + 1)}
-    for s in window_slots(frame_size, k, j):
-        coeffs[xname(client.id, s)] += 1.0
-    return Constraint(
-        f"svc_{client.id}_{k}_{j}", tuple(coeffs.items()), ">=", 0.0
-    )
+def _windows(frame_size: int, lengths: Sequence[int]) -> np.ndarray:
+    """0/1 slot rows of the cyclic windows of each duration in ``lengths``
+    (major) starting at each slot k = 1..f (minor)."""
+    f = frame_size
+    offsets = (np.arange(f) - np.arange(f)[:, None]) % f  # [start, slot]
+    inside = offsets < np.asarray(lengths, dtype=int)[:, None, None]
+    return inside.reshape(-1, f).astype(float)
+
+
+def service_rows(
+    client: ClientRequirement, frame_size: int, j_values: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Window rows for each j in j_values (j-major, window start k minor):
+    (j - latency) / f * total slots - slots in window <= 0."""
+    f = frame_size
+    theta = client.effective_latency(f)
+    coef = [float(Fraction(j) - theta) / f for j in j_values]
+    rows = np.repeat(coef, f)[:, None] - _windows(f, j_values)
+    return rows, np.zeros(len(rows))
+
+
+def service_row(client: ClientRequirement, frame_size: int, k: int, j: int) -> Row:
+    """The window row of start k and duration j as one lazy row."""
+    rows, rhs = service_rows(client, frame_size, [j])
+    return np.arange(frame_size), rows[k - 1], rhs[k - 1]
 
 
 def strengthened_rows(
     client: ClientRequirement, frame_size: int
-) -> list[Constraint]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Integer-strengthened window rows implied by the latency condition.
 
     Any feasible mask with phi >= lb slots satisfies, for every window,
@@ -97,27 +107,17 @@ def strengthened_rows(
     """
     f = frame_size
     lb = slot_lower_bound(client, f)
-    if lb == 0 or client.required_latency is None:
-        return []
-    theta = client.effective_latency(f)
-    rows: list[Constraint] = []
-    for r in range(1, lb + 1):
-        # smallest j with lb*(j - theta)/f > r - 1
-        bound = theta + Fraction((r - 1) * f, lb)
-        j = math.floor(bound) + 1
-        if j > f:
-            break
-        for k in range(1, f + 1):
-            coeffs = {xname(client.id, s): 1.0 for s in window_slots(f, k, j)}
-            rows.append(
-                Constraint(
-                    f"lat{r}_{client.id}_{k}_{j}",
-                    tuple(coeffs.items()),
-                    ">=",
-                    float(r),
-                )
-            )
-    return rows
+    counts, lengths = [], []
+    if lb > 0 and client.required_latency is not None:
+        theta = client.effective_latency(f)
+        for r in range(1, lb + 1):
+            # smallest j with lb*(j - theta)/f > r - 1
+            j = math.floor(theta + Fraction((r - 1) * f, lb)) + 1
+            if j > f:
+                break
+            counts.append(r)
+            lengths.append(j)
+    return -_windows(f, lengths), -np.repeat(np.array(counts, dtype=float), f)
 
 
 def find_latency_violation(
@@ -152,27 +152,24 @@ def build_ilp(
     opts = opts or IlpBuildOptions()
     decided = check_fixings(opts.partial_fixings)
     f = instance.frame_size
-    variables = []
-    for c in instance.clients:
-        for j in range(1, f + 1):
-            fixed = decided.get((c.id, j))
-            lo = 1.0 if fixed is True else 0.0
-            hi = 0.0 if fixed is False else 1.0
-            variables.append(
-                Variable(xname(c.id, j), lo, hi, 1.0 / f, is_integer=True)
-            )
-    constraints = []
-    for j in range(1, f + 1):
-        coeffs = {xname(c.id, j): 1.0 for c in instance.clients}
-        constraints.append(Constraint(f"cap_{j}", tuple(coeffs.items()), "<=", 1.0))
-    bounds = {c.id: slot_lower_bound(c, f) for c in instance.clients}
-    for c in instance.clients:
-        if bounds[c.id] > 0:
-            coeffs = {xname(c.id, j): 1.0 for j in range(1, f + 1)}
-            constraints.append(
-                Constraint(f"rate_{c.id}", tuple(coeffs.items()), ">=", float(bounds[c.id]))
-            )
-    for c in instance.clients:
+    clients = instance.clients
+    nvar = len(clients) * f
+    position = {c.id: p for p, c in enumerate(clients)}
+    lower, upper = np.zeros(nvar), np.ones(nvar)
+    for (client_id, slot), allocate in decided.items():
+        if client_id in position:
+            i = position[client_id] * f + slot - 1
+            if allocate:
+                lower[i] = 1.0
+            else:
+                upper[i] = 0.0
+    # capacity rows: one client per slot
+    blocks = [(0, np.tile(np.eye(f), len(clients)), np.ones(f))]
+    bounds = [slot_lower_bound(c, f) for c in clients]
+    for p, lb in enumerate(bounds):
+        if lb > 0:
+            blocks.append((p * f, -np.ones((1, f)), [-float(lb)]))
+    for p, c in enumerate(clients):
         if c.required_rate == 0:
             continue
         theta = c.effective_latency(f)
@@ -180,26 +177,23 @@ def build_ilp(
             opts.latency_dominated_single_point
             and dominance_class(c, f) == DominanceClass.LATENCY_DOMINATED
         ):
-            j_values: Iterable[int] = [min(math.floor(theta) + 1, f)]
+            j_values: Sequence[int] = [min(math.floor(theta) + 1, f)]
         elif opts.prune_below_latency:
             j_values = [j for j in range(1, f + 1) if j >= theta]
         else:
             j_values = range(1, f + 1)
-        for j in j_values:
-            for k in range(1, f + 1):
-                constraints.append(service_row(c, f, k, j))
-        constraints.extend(strengthened_rows(c, f))
+        blocks.append((p * f, *service_rows(c, f, j_values)))
+        blocks.append((p * f, *strengthened_rows(c, f)))
+    A_ub, b_ub = stack_rows(blocks, nvar)
+    A_eq = b_eq = None
     if opts.fix_first_slot and not any(slot == 1 for _, slot, _ in opts.partial_fixings):
-        target = min(
-            instance.clients, key=lambda c: (bounds[c.id], c.id)
-        )
-        if bounds[target.id] >= 1:
-            constraints.append(
-                Constraint(
-                    "fix_first", ((xname(target.id, 1), 1.0),), "==", 1.0
-                )
-            )
-    return LinearModel(variables, constraints)
+        target = min(range(len(clients)), key=lambda p: (bounds[p], clients[p].id))
+        if bounds[target] >= 1:
+            A_eq, b_eq = stack_rows([(target * f, np.ones((1, 1)), [1.0])], nvar)
+    return LinearModel(
+        np.full(nvar, 1.0 / f), lower, upper, np.ones(nvar, dtype=bool),
+        A_ub, b_ub, A_eq, b_eq,
+    )
 
 
 def latency_lazy_callback(instance: ProblemInstance):
@@ -207,29 +201,26 @@ def latency_lazy_callback(instance: ProblemInstance):
 
     f = instance.frame_size
 
-    def callback(assignment: dict[str, float]) -> Optional[Constraint]:
-        for c in instance.clients:
-            mask = [int(round(assignment[xname(c.id, j)])) for j in range(1, f + 1)]
+    def callback(x: np.ndarray) -> Optional[Row]:
+        for p, c in enumerate(instance.clients):
+            mask = x[p * f:(p + 1) * f].astype(int).tolist()
             hit = find_latency_violation(mask, c, f)
             if hit is not None:
-                k, j = hit
-                return service_row(c, f, k, j)
+                indices, coefs, rhs = service_row(c, f, *hit)
+                return indices + p * f, coefs, rhs
         return None
 
     return callback
 
 
-def extract_schedule(
-    instance: ProblemInstance, assignment: dict[str, float]
-) -> Schedule:
+def extract_schedule(instance: ProblemInstance, x: np.ndarray) -> Schedule:
     f = instance.frame_size
     slots: list[Optional[int]] = [None] * f
-    for c in instance.clients:
-        for j in range(1, f + 1):
-            if round(assignment[xname(c.id, j)]) == 1:
-                if slots[j - 1] is not None:
-                    raise ValueError(f"slot {j} assigned twice in MIP solution")
-                slots[j - 1] = c.id
+    held = np.round(x).reshape(len(instance.clients), f) == 1
+    for p, s in zip(*np.nonzero(held)):
+        if slots[s] is not None:
+            raise ValueError(f"slot {s + 1} assigned twice in MIP solution")
+        slots[s] = instance.clients[p].id
     return Schedule(tuple(slots))
 
 
@@ -258,6 +249,6 @@ def solve_direct(
     )
     if res.status in (MipStatus.INFEASIBLE, MipStatus.TIMED_OUT):
         return None, res.status, None, res.best_bound
-    schedule = extract_schedule(instance, res.assignment)
+    schedule = extract_schedule(instance, res.x)
     objective = Fraction(sum(schedule.alloc_count(c.id) for c in instance.clients), f)
     return schedule, res.status, objective, res.best_bound

@@ -1,20 +1,22 @@
 """Minimal binary-LP kernel: LP relaxation with duals and branch-and-bound.
 
-The LP relaxation is delegated to HiGHS through scipy; the integer search
-is a hand-rolled depth-first branch-and-bound with a lazy-constraint hook,
-most-fractional branching and deterministic tie-breaking.
+A model is plain arrays addressed by position: objective, bounds and
+integrality per variable, and sparse rows in ``<=`` form (builders negate
+``>=`` rows) plus optional equality rows.  The LP relaxation is delegated
+to HiGHS through scipy; the integer search is a hand-rolled depth-first
+branch-and-bound with a lazy-row hook, most-fractional branching and
+deterministic tie-breaking.
 
-Dual sign convention: duals are returned such that the reduced cost of a
-variable v in this minimization is obj(v) - sum_c dual(c) * coef(c, v),
-with coefficients as written in the constraint (before any internal
-normalization).
+Dual sign convention: ``LpSolution.duals[r]`` belongs to the r-th ``<=``
+row, and the reduced cost of variable v in this minimization is
+c[v] - sum_r duals[r] * A_ub[r, v].
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -24,11 +26,10 @@ from scipy.optimize import linprog
 
 FEASIBILITY_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
-DUAL_TOL = 1e-6
 
 
 class ModelError(ValueError):
-    """Structural problem in a LinearModel."""
+    """The LP solver failed on a model."""
 
 
 class LpStatus(Enum):
@@ -44,178 +45,117 @@ class MipStatus(Enum):
     TIMED_OUT = "timed_out"
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    lower: float = 0.0
-    upper: float = 1.0
-    objective: float = 0.0
-    is_integer: bool = False
-
-
-@dataclass(frozen=True)
-class Constraint:
-    name: str
-    coeffs: tuple[tuple[str, float], ...]
-    sense: str  # "<=", ">=" or "=="
-    rhs: float
-
-    def __post_init__(self):
-        if self.sense not in ("<=", ">=", "=="):
-            raise ModelError(f"bad sense {self.sense!r} in constraint {self.name}")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-
-def constraint(name: str, coeffs: dict, sense: str, rhs: float) -> Constraint:
-    return Constraint(name, tuple(coeffs.items()), sense, float(rhs))
-
-
+@dataclass
 class LinearModel:
-    """An immutable minimization model over bounded (possibly binary) vars."""
+    """min c @ x  s.t.  A_ub @ x <= b_ub,  A_eq @ x == b_eq,  lower <= x <= upper.
 
-    def __init__(self, variables: Sequence[Variable], constraints: Sequence[Constraint]):
-        self.variables = tuple(variables)
-        self.constraints = tuple(constraints)
-        self._index = {v.name: i for i, v in enumerate(self.variables)}
-        if len(self._index) != len(self.variables):
-            raise ModelError("duplicate variable names")
-        cnames = {c.name for c in self.constraints}
-        if len(cnames) != len(self.constraints):
-            raise ModelError("duplicate constraint names")
-        for c in self.constraints:
-            for var, _ in c.coeffs:
-                if var not in self._index:
-                    raise ModelError(f"constraint {c.name} references unknown {var}")
-        for v in self.variables:
-            if v.is_integer and not (
-                math.isfinite(v.lower) and math.isfinite(v.upper)
-            ):
-                raise ModelError(f"integer variable {v.name} must have finite bounds")
-        self._arrays = None
+    Variables and rows are addressed by position only; ``integer`` flags
+    the variables the branch-and-bound must make integral.
+    """
 
-    def var_index(self, name: str) -> int:
-        return self._index[name]
+    c: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    integer: np.ndarray
+    A_ub: Optional[sparse.csr_matrix]
+    b_ub: np.ndarray
+    A_eq: Optional[sparse.csr_matrix] = None
+    b_eq: Optional[np.ndarray] = None
 
-    def _base_arrays(self):
-        """Cached (c, bounds, A_ub, b_ub, ub_meta, A_eq, b_eq, eq_names)."""
-        if self._arrays is not None:
-            return self._arrays
-        nvar = len(self.variables)
-        c = np.array([v.objective for v in self.variables], dtype=float)
-        bounds = np.array([(v.lower, v.upper) for v in self.variables], dtype=float)
-        ub_rows, ub_rhs, ub_meta = [], [], []
-        eq_rows, eq_rhs, eq_names = [], [], []
-        for con in self.constraints:
-            row = np.zeros(nvar)
-            for var, coef in con.coeffs:
-                row[self._index[var]] += coef
-            if con.sense == "<=":
-                ub_rows.append(row)
-                ub_rhs.append(con.rhs)
-                ub_meta.append((con.name, 1.0))
-            elif con.sense == ">=":
-                ub_rows.append(-row)
-                ub_rhs.append(-con.rhs)
-                ub_meta.append((con.name, -1.0))
-            else:
-                eq_rows.append(row)
-                eq_rhs.append(con.rhs)
-                eq_names.append(con.name)
-        A_ub = sparse.csr_matrix(np.array(ub_rows)) if ub_rows else None
-        A_eq = sparse.csr_matrix(np.array(eq_rows)) if eq_rows else None
-        self._arrays = (
-            c,
-            bounds,
-            A_ub,
-            np.array(ub_rhs),
-            ub_meta,
-            A_eq,
-            np.array(eq_rhs),
-            eq_names,
-        )
-        return self._arrays
+
+# one row in ``<=`` form: (variable indices, coefficients, right-hand side)
+Row = tuple[np.ndarray, np.ndarray, float]
+
+
+def stack_rows(
+    blocks: Sequence[tuple[int, np.ndarray, Sequence[float]]], ncols: int
+) -> tuple[Optional[sparse.csr_matrix], np.ndarray]:
+    """Stack dense row blocks into one sparse matrix and right-hand side.
+
+    Block (col0, coefs, rhs) puts the rows ``coefs`` at columns col0 on;
+    explicit zeros are dropped.  No rows at all gives (None, empty).
+    """
+    rows, cols, vals = [], [], []
+    nrows = 0
+    for col0, coefs, _ in blocks:
+        r, s = np.nonzero(coefs)
+        rows.append(r + nrows)
+        cols.append(s + col0)
+        vals.append(coefs[r, s])
+        nrows += coefs.shape[0]
+    if nrows == 0:
+        return None, np.zeros(0)
+    A = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nrows, ncols),
+    )
+    return A, np.concatenate([np.asarray(rhs, dtype=float) for _, _, rhs in blocks])
 
 
 @dataclass
 class LpSolution:
     status: LpStatus
-    primal: dict[str, float] = field(default_factory=dict)
-    duals: dict[str, float] = field(default_factory=dict)
+    x: Optional[np.ndarray] = None
+    duals: Optional[np.ndarray] = None  # one per A_ub row, lazy rows last
     objective: float = math.nan
 
 
 @dataclass
 class MipSolution:
     status: MipStatus
-    assignment: dict[str, float] = field(default_factory=dict)
+    x: Optional[np.ndarray] = None
     objective: float = math.nan
     best_bound: float = -math.inf
     nodes: int = 0
 
 
-def _row_from(model: LinearModel, con: Constraint) -> tuple[np.ndarray, float, float]:
-    nvar = len(model.variables)
-    row = np.zeros(nvar)
-    for var, coef in con.coeffs:
-        row[model.var_index(var)] += coef
-    if con.sense == "<=":
-        return row, con.rhs, 1.0
-    if con.sense == ">=":
-        return -row, -con.rhs, -1.0
-    raise ModelError("lazy constraints must be inequalities")
-
-
 def solve_lp(
     model: LinearModel,
-    bound_overrides: Optional[dict[str, tuple[float, float]]] = None,
-    extra_rows: Sequence[Constraint] = (),
+    bound_overrides: Optional[dict[int, tuple[float, float]]] = None,
+    extra_rows: Sequence[Row] = (),
 ) -> LpSolution:
     """Solve the LP relaxation; deterministic for a fixed input.
 
-    ``bound_overrides`` tightens variable bounds without rebuilding the
-    model; ``extra_rows`` appends inequality rows (used for lazy cuts).
+    ``bound_overrides`` tightens variable bounds by index without
+    rebuilding the model; ``extra_rows`` appends ``<=`` rows after the
+    model's own (used for lazy cuts).
     """
-    c, bounds, A_ub, b_ub, ub_meta, A_eq, b_eq, eq_names = model._base_arrays()
-    bounds = bounds.copy()
+    bounds = np.column_stack([model.lower, model.upper])
     if bound_overrides:
-        for name, (lo, hi) in bound_overrides.items():
-            i = model.var_index(name)
+        for i, (lo, hi) in bound_overrides.items():
             bounds[i, 0] = max(bounds[i, 0], lo)
             bounds[i, 1] = min(bounds[i, 1], hi)
             if bounds[i, 0] > bounds[i, 1] + FEASIBILITY_TOL:
                 return LpSolution(LpStatus.INFEASIBLE)
-    extra_meta = []
+    A_ub, b_ub = model.A_ub, model.b_ub
     if extra_rows:
-        rows, rhs = [], []
-        for con in extra_rows:
-            row, b, sign = _row_from(model, con)
-            rows.append(row)
-            rhs.append(b)
-            extra_meta.append((con.name, sign))
-        block = sparse.csr_matrix(np.array(rows))
+        lengths = [len(idx) for idx, _, _ in extra_rows]
+        block = sparse.csr_matrix(
+            (
+                np.concatenate([coefs for _, coefs, _ in extra_rows]),
+                (
+                    np.repeat(np.arange(len(extra_rows)), lengths),
+                    np.concatenate([idx for idx, _, _ in extra_rows]),
+                ),
+            ),
+            shape=(len(extra_rows), len(model.c)),
+        )
+        block.eliminate_zeros()
         A_ub = block if A_ub is None else sparse.vstack([A_ub, block], format="csr")
-        b_ub = np.concatenate([b_ub, np.array(rhs)])
-    res = linprog(
-        c,
+        b_ub = np.concatenate([b_ub, [rhs for _, _, rhs in extra_rows]])
+    args = dict(
         A_ub=A_ub,
         b_ub=b_ub if A_ub is not None else None,
-        A_eq=A_eq,
-        b_eq=b_eq if A_eq is not None else None,
+        A_eq=model.A_eq,
+        b_eq=model.b_eq,
         bounds=bounds,
-        method="highs",
     )
+    res = linprog(model.c, method="highs", **args)
     if res.status not in (0, 2, 3):
         # HiGHS occasionally reports "Unknown" on numerically awkward
         # models; dual simplex without presolve is a reliable fallback
         res = linprog(
-            c,
-            A_ub=A_ub,
-            b_ub=b_ub if A_ub is not None else None,
-            A_eq=A_eq,
-            b_eq=b_eq if A_eq is not None else None,
-            bounds=bounds,
-            method="highs-ds",
-            options={"presolve": False},
+            model.c, method="highs-ds", options={"presolve": False}, **args
         )
     if res.status == 2:
         return LpSolution(LpStatus.INFEASIBLE)
@@ -223,28 +163,18 @@ def solve_lp(
         return LpSolution(LpStatus.UNBOUNDED)
     if res.status != 0:
         raise ModelError(f"LP solver failure: {res.message}")
-    primal = {v.name: float(x) for v, x in zip(model.variables, res.x)}
-    duals: dict[str, float] = {}
-    all_meta = list(ub_meta) + extra_meta
-    if all_meta:
-        for (name, sign), m in zip(all_meta, res.ineqlin.marginals):
-            duals[name] = sign * float(m)
-    if eq_names:
-        for name, m in zip(eq_names, res.eqlin.marginals):
-            duals[name] = float(m)
-    return LpSolution(LpStatus.OPTIMAL, primal, duals, float(res.fun))
+    duals = res.ineqlin.marginals if A_ub is not None else np.zeros(0)
+    return LpSolution(LpStatus.OPTIMAL, res.x, duals, float(res.fun))
 
 
-def _most_fractional(model: LinearModel, primal: dict[str, float]) -> Optional[str]:
-    best_name, best_frac = None, INTEGRALITY_TOL
-    for v in model.variables:
-        if not v.is_integer:
-            continue
-        x = primal[v.name]
-        frac = min(x - math.floor(x), math.ceil(x) - x)
-        if frac > best_frac + 1e-12:
-            best_name, best_frac = v.name, frac
-    return best_name
+def _most_fractional(x: np.ndarray, integer: np.ndarray) -> Optional[int]:
+    """First integer variable strictly more fractional than all before it."""
+    frac = np.minimum(x - np.floor(x), np.ceil(x) - x)
+    best, best_frac = None, INTEGRALITY_TOL
+    for i in np.flatnonzero(integer & (frac > INTEGRALITY_TOL + 1e-12)):
+        if frac[i] > best_frac + 1e-12:
+            best, best_frac = int(i), frac[i]
+    return best
 
 
 def _snap_bound(bound: float, grid: Optional[float]) -> float:
@@ -255,30 +185,31 @@ def _snap_bound(bound: float, grid: Optional[float]) -> float:
 
 def solve_mip(
     model: LinearModel,
-    lazy: Optional[Callable[[dict[str, float]], Optional[Constraint]]] = None,
+    lazy: Optional[Callable[[np.ndarray], Optional[Row]]] = None,
     time_limit: Optional[float] = None,
     optimality_gap: float = 0.0,
     bound_grid: Optional[float] = None,
 ) -> MipSolution:
     """Depth-first branch-and-bound over the integer variables.
 
-    Whenever an integral candidate appears, the lazy callback may return a
-    violated constraint; it is added globally and the node is re-solved.
-    ``bound_grid`` optionally rounds node bounds up to a known objective
-    granularity, which tightens pruning without affecting correctness.
+    Whenever an integral candidate appears, the lazy callback receives its
+    rounded ``x`` and may return a violated ``<=`` row; the row is added
+    globally and the node is re-solved.  ``bound_grid`` optionally rounds
+    node bounds up to a known objective granularity, which tightens pruning
+    without affecting correctness.
     """
     t0 = time.monotonic()
-    lazy_rows: list[Constraint] = []
+    lazy_rows: list[Row] = []
     best_obj = math.inf
-    best_assignment: Optional[dict[str, float]] = None
+    best_x: Optional[np.ndarray] = None
     min_pruned = math.inf
     nodes = 0
     timed_out = False
     # stack entries: (bound_overrides, parent LP bound)
-    stack: list[tuple[dict[str, tuple[float, float]], float]] = [({}, -math.inf)]
+    stack: list[tuple[dict[int, tuple[float, float]], float]] = [({}, -math.inf)]
 
     def prune_threshold() -> float:
-        if best_assignment is None:
+        if best_x is None:
             return math.inf
         slack = max(FEASIBILITY_TOL, optimality_gap * max(1.0, abs(best_obj)))
         return best_obj - slack
@@ -302,9 +233,9 @@ def solve_mip(
             if bound >= prune_threshold():
                 min_pruned = min(min_pruned, bound)
                 break
-            branch_var = _most_fractional(model, lp.primal)
+            branch_var = _most_fractional(lp.x, model.integer)
             if branch_var is not None:
-                x = lp.primal[branch_var]
+                x = float(lp.x[branch_var])
                 lo, hi = math.floor(x), math.ceil(x)
                 prev_lo, prev_hi = overrides.get(branch_var, (-math.inf, math.inf))
                 down = dict(overrides)
@@ -319,28 +250,25 @@ def solve_mip(
                     stack.append((down, bound))
                     stack.append((up, bound))
                 break
-            assignment = {
-                v.name: (round(lp.primal[v.name]) if v.is_integer else lp.primal[v.name])
-                for v in model.variables
-            }
-            violated = lazy(assignment) if lazy is not None else None
+            x = np.where(model.integer, np.round(lp.x), lp.x)
+            violated = lazy(x) if lazy is not None else None
             if violated is not None:
                 lazy_rows.append(violated)
                 continue  # re-solve this node with the new row
             if lp.objective < best_obj - FEASIBILITY_TOL:
                 best_obj = lp.objective
-                best_assignment = assignment
+                best_x = x
             break
 
-    if best_assignment is None:
+    if best_x is None:
         if timed_out:
             bound = min(open_bounds, default=math.inf)
-            return MipSolution(MipStatus.TIMED_OUT, {}, math.nan, bound, nodes)
-        return MipSolution(MipStatus.INFEASIBLE, {}, math.nan, math.inf, nodes)
+            return MipSolution(MipStatus.TIMED_OUT, None, math.nan, bound, nodes)
+        return MipSolution(MipStatus.INFEASIBLE, None, math.nan, math.inf, nodes)
     lower = min(min_pruned, best_obj)
     if timed_out:
         lower = min(lower, min(open_bounds, default=math.inf))
-        return MipSolution(MipStatus.FEASIBLE, best_assignment, best_obj, lower, nodes)
+        return MipSolution(MipStatus.FEASIBLE, best_x, best_obj, lower, nodes)
     if lower >= best_obj - 1e-9:
-        return MipSolution(MipStatus.OPTIMAL, best_assignment, best_obj, best_obj, nodes)
-    return MipSolution(MipStatus.FEASIBLE, best_assignment, best_obj, lower, nodes)
+        return MipSolution(MipStatus.OPTIMAL, best_x, best_obj, best_obj, nodes)
+    return MipSolution(MipStatus.FEASIBLE, best_x, best_obj, lower, nodes)

@@ -246,11 +246,6 @@ class LrCharacterization:
     rate: Fraction
 
 
-def _client_mask(schedule: Schedule, client_id: int) -> tuple[int, ...]:
-    mask = schedule.mask(client_id)
-    return mask
-
-
 def allocated_rate(
     schedule: Schedule, client_id: int, instance: Optional[ProblemInstance] = None
 ) -> Fraction:
@@ -267,7 +262,7 @@ def allocated_rate(
 
 
 def service_curve(schedule: Schedule, client_id: int) -> ServiceCurve:
-    return ServiceCurve(_client_mask(schedule, client_id))
+    return ServiceCurve(schedule.mask(client_id))
 
 
 def mask_service_latency(mask: Sequence[int]) -> Fraction:
@@ -290,7 +285,7 @@ def mask_service_latency(mask: Sequence[int]) -> Fraction:
 
 def service_latency(schedule: Schedule, client_id: int) -> Fraction:
     """Exact service latency of a client in a schedule (Definition-style)."""
-    return mask_service_latency(_client_mask(schedule, client_id))
+    return mask_service_latency(schedule.mask(client_id))
 
 
 def lr_characterization(schedule: Schedule, client_id: int) -> LrCharacterization:

@@ -69,8 +69,8 @@ def test_golden_trace(golden_instance, golden_seed_columns):
     trace = []
     res = column_generation(pool, None, golden_instance, ColGenLimits(), trace)
     values = []
-    for line in trace:
-        value = Fraction(line.split("phi_mm=")[1].split()[0])
+    for _, objective, _ in trace:
+        value = Fraction(objective).limit_denominator(100)
         if not values or values[-1] != value:
             values.append(value)
     assert values == [Fraction(9, 10), Fraction(17, 20), Fraction(4, 5)]

@@ -2,10 +2,13 @@
 
 import math
 import random
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from tdmcfg import bnp
 from tdmcfg.bnp import (
     BnpConfig,
     BnpNode,
@@ -17,6 +20,7 @@ from tdmcfg.bnp import (
 )
 from tdmcfg.mip import MipStatus
 from tdmcfg.model import ClientRequirement, ProblemInstance
+from tdmcfg.usecase import GenSpec, generate
 from tdmcfg.verify import brute_force_optimum, schedule_feasible
 
 from conftest import random_instance
@@ -87,8 +91,6 @@ def test_solve_bnp_matches_brute_force_on_small_instances():
 
 
 def test_solve_bnp_time_limit_returns_promptly(golden_instance):
-    import time
-
     t0 = time.monotonic()
     _, status, _, _, _ = solve_bnp(
         golden_instance, BnpConfig(seed=0, time_limit=0.01)
@@ -99,6 +101,36 @@ def test_solve_bnp_time_limit_returns_promptly(golden_instance):
         MipStatus.FEASIBLE,
         MipStatus.TIMED_OUT,
     )
+
+
+def test_solve_bnp_seed_pricing_obeys_time_limit():
+    # seeding columns on this latency-dominated instance takes far longer
+    # than the limit; the search must stop there, not finish seeding
+    instance = generate(GenSpec.default("LD", 8, seed=0))
+    t0 = time.monotonic()
+    schedule, status, _, _, _ = solve_bnp(instance, BnpConfig(time_limit=5))
+    assert time.monotonic() - t0 < 5 + 3
+    assert status in (MipStatus.TIMED_OUT, MipStatus.FEASIBLE)
+    if schedule is not None:
+        assert schedule_feasible(schedule, instance).feasible
+
+
+def test_integral_master_failing_verification_raises(monkeypatch):
+    # an LD instance whose search reaches an integral, conflict-free master
+    rates = ("0.100594", "0.10068", "0.09812", "0.055838")
+    latencies = (
+        "250000000000/58649772493", "6250000000/1427770767",
+        "25000000000/6939833813", "500000000000/91886817367",
+    )
+    instance = ProblemInstance(12, tuple(
+        ClientRequirement(i, f"c{i}", Fraction(rate), Fraction(latency))
+        for i, (rate, latency) in enumerate(zip(rates, latencies), start=1)
+    ))
+    monkeypatch.setattr(
+        bnp, "schedule_feasible", lambda schedule, inst: SimpleNamespace(feasible=False)
+    )
+    with pytest.raises(RuntimeError, match="integral master at node"):
+        solve_bnp(instance, BnpConfig(seed=0))
 
 
 def test_solve_bnp_stats_are_populated(golden_instance):

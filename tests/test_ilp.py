@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tdmcfg.ilp import (
@@ -13,10 +14,10 @@ from tdmcfg.ilp import (
     check_fixings,
     find_latency_violation,
     service_row,
+    service_rows,
     solve_direct,
     strengthened_rows,
     window_slots,
-    xname,
 )
 from tdmcfg.mip import MipStatus
 from tdmcfg.model import ClientRequirement, ProblemInstance, ServiceCurve
@@ -64,35 +65,46 @@ def test_strengthened_rows_are_valid_cuts():
     # every feasible mask must satisfy every strengthened row
     req = ClientRequirement(1, "c", Fraction(3, 10), Fraction(4))
     f = 10
-    rows = strengthened_rows(req, f)
-    assert rows, "latency-constrained client should produce cuts"
+    rows, rhs = strengthened_rows(req, f)
+    assert len(rhs), "latency-constrained client should produce cuts"
+    assert rows.shape == (len(rhs), f)
     for bits in range(1 << f):
         mask = [(bits >> s) & 1 for s in range(f)]
         if Fraction(sum(mask), f) < req.required_rate:
             continue
         if find_latency_violation(mask, req, f) is not None:
             continue
-        for row in rows:
-            lhs = sum(
-                coef * mask[int(name.rsplit("_", 1)[1]) - 1]
-                for name, coef in row.coeffs
-            )
-            assert lhs >= row.rhs - 1e-9, f"feasible mask cut off by {row.name}"
+        assert (rows @ mask <= rhs + 1e-9).all(), f"feasible mask {mask} cut off"
 
 
 def test_strengthened_rows_absent_without_latency():
     req = ClientRequirement(1, "c", Fraction(1, 4), None)
-    assert strengthened_rows(req, 8) == []
+    rows, rhs = strengthened_rows(req, 8)
+    assert rows.shape == (0, 8) and len(rhs) == 0
 
 
 def test_service_row_rejects_sparse_masks():
     req = ClientRequirement(1, "c", Fraction(1, 2), Fraction(1))
-    row = service_row(req, 4, 1, 2)
+    indices, coefs, rhs = service_row(req, 4, 1, 2)
     # mask (1, 0, 1, 0) has window (k=2, j=2) with 1 slot; bound is
     # phi * (2 - 1) / 4 = 0.5, so the row holds there
-    mask = {xname(1, j): b for j, b in enumerate((1, 0, 1, 0), start=1)}
-    lhs = sum(coef * mask[name] for name, coef in row.coeffs)
-    assert lhs >= row.rhs
+    mask = np.array([1, 0, 1, 0])
+    assert coefs @ mask[indices] <= rhs
+
+
+def test_service_rows_match_window_loop():
+    req = ClientRequirement(1, "c", Fraction(1, 3), Fraction(5, 2))
+    f = 6
+    theta = req.effective_latency(f)
+    rows, rhs = service_rows(req, f, [3, 5])
+    assert rows.shape == (2 * f, f) and not rhs.any()
+    for r, (j, k) in enumerate(itertools.product([3, 5], range(1, f + 1))):
+        coef = float(Fraction(j) - theta) / f
+        expected = [coef - (s in window_slots(f, k, j)) for s in range(1, f + 1)]
+        assert rows[r].tolist() == expected
+        indices, coefs, b = service_row(req, f, k, j)
+        assert indices.tolist() == list(range(f))
+        assert coefs.tolist() == expected and b == 0.0
 
 
 def test_build_ilp_partial_fixings_pin_variables():
@@ -101,9 +113,9 @@ def test_build_ilp_partial_fixings_pin_variables():
     )
     opts = IlpBuildOptions(partial_fixings=frozenset({(1, 2, True), (1, 3, False)}))
     model = build_ilp(inst, opts)
-    by_name = {v.name: v for v in model.variables}
-    assert by_name[xname(1, 2)].lower == 1.0
-    assert by_name[xname(1, 3)].upper == 0.0
+    # variable p * f + slot - 1 for client position p
+    assert model.lower.tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert model.upper.tolist() == [1.0, 1.0, 0.0, 1.0]
 
 
 def test_solve_direct_golden_instance(golden_instance):

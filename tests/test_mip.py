@@ -2,106 +2,102 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from tdmcfg.mip import (
-    Constraint,
-    LinearModel,
-    LpStatus,
-    MipStatus,
-    ModelError,
-    Variable,
-    solve_lp,
-    solve_mip,
-)
+from tdmcfg.mip import LinearModel, LpStatus, MipStatus, solve_lp, solve_mip, stack_rows
+
+
+def model(c, upper, rows=(), integer=True):
+    """min c @ x over 0 <= x <= upper with dense ``<=`` rows (coefs, rhs)."""
+    c = np.array(c, dtype=float)
+    A_ub, b_ub = stack_rows([(0, np.array([coefs]), [rhs]) for coefs, rhs in rows], len(c))
+    return LinearModel(
+        c, np.zeros(len(c)), np.array(upper, dtype=float),
+        np.full(len(c), integer), A_ub, b_ub,
+    )
 
 
 def knapsack_model():
     # min -8x1 - 11x2 - 6x3  s.t.  5x1 + 7x2 + 4x3 <= 14, x binary
-    variables = [
-        Variable("x1", 0, 1, -8.0, is_integer=True),
-        Variable("x2", 0, 1, -11.0, is_integer=True),
-        Variable("x3", 0, 1, -6.0, is_integer=True),
-    ]
-    cons = [
-        Constraint("cap", (("x1", 5.0), ("x2", 7.0), ("x3", 4.0)), "<=", 14.0)
-    ]
-    return LinearModel(variables, cons)
+    return model([-8.0, -11.0, -6.0], [1, 1, 1], [([5.0, 7.0, 4.0], 14.0)])
 
 
 def test_solve_lp_optimal_with_duals():
-    variables = [Variable("x", 0, 10, 1.0), Variable("y", 0, 10, 2.0)]
-    cons = [Constraint("lo", (("x", 1.0), ("y", 1.0)), ">=", 4.0)]
-    lp = solve_lp(LinearModel(variables, cons))
+    # min x + 2y  s.t.  x + y >= 4, written as -x - y <= -4
+    lp = solve_lp(model([1.0, 2.0], [10, 10], [([-1.0, -1.0], -4.0)], integer=False))
     assert lp.status == LpStatus.OPTIMAL
     assert lp.objective == pytest.approx(4.0)
-    assert lp.primal["x"] == pytest.approx(4.0)
+    assert lp.x[0] == pytest.approx(4.0)
     # reduced cost of x at its optimal basis is zero: c_x = dual * a_x
-    assert lp.duals["lo"] * 1.0 == pytest.approx(1.0)
+    assert lp.duals[0] * -1.0 == pytest.approx(1.0)
 
 
 def test_solve_lp_infeasible():
-    variables = [Variable("x", 0, 1, 1.0)]
-    cons = [Constraint("hi", (("x", 1.0),), ">=", 2.0)]
-    lp = solve_lp(LinearModel(variables, cons))
+    lp = solve_lp(model([1.0], [1], [([-1.0], -2.0)], integer=False))
     assert lp.status == LpStatus.INFEASIBLE
+
+
+def test_solve_lp_bound_overrides_and_extra_rows():
+    # max x + y over the unit box, then x pinned to 0 and x + y <= 0.5 added
+    m = model([-1.0, -1.0], [1, 1], integer=False)
+    lp = solve_lp(m, {0: (0.0, 0.0)}, [(np.array([0, 1]), np.array([1.0, 1.0]), 0.5)])
+    assert lp.status == LpStatus.OPTIMAL
+    assert lp.x == pytest.approx([0.0, 0.5])
+    assert len(lp.duals) == 1
+    assert solve_lp(m, {0: (1.0, 0.0)}).status == LpStatus.INFEASIBLE
+
+
+def test_stack_rows_drops_zeros_and_places_blocks():
+    A, b = stack_rows(
+        [(0, np.array([[1.0, 0.0]]), [2.0]), (2, np.array([[0.0, -3.0], [0.0, 0.0]]), [1.0, 0.0])], 4
+    )
+    assert A.shape == (3, 4)
+    assert A.nnz == 2
+    assert A.toarray().tolist() == [[1, 0, 0, 0], [0, 0, 0, -3], [0, 0, 0, 0]]
+    assert b.tolist() == [2.0, 1.0, 0.0]
+    assert stack_rows([], 4)[0] is None
 
 
 def test_solve_mip_knapsack_optimum():
     res = solve_mip(knapsack_model())
     assert res.status == MipStatus.OPTIMAL
     assert res.objective == pytest.approx(-19.0)
-    assert round(res.assignment["x1"]) == 1
-    assert round(res.assignment["x2"]) == 1
-    assert round(res.assignment["x3"]) == 0
+    assert res.x.tolist() == [1.0, 1.0, 0.0]
 
 
 def test_solve_mip_respects_integrality():
     # LP relaxation is fractional; MIP must branch to an integer point
-    variables = [Variable("x", 0, 5, -1.0, is_integer=True)]
-    cons = [Constraint("cap", (("x", 2.0),), "<=", 7.0)]
-    res = solve_mip(LinearModel(variables, cons))
+    res = solve_mip(model([-1.0], [5], [([2.0], 7.0)]))
     assert res.status == MipStatus.OPTIMAL
-    assert res.assignment["x"] == pytest.approx(3.0)
+    assert res.x[0] == pytest.approx(3.0)
 
 
 def test_solve_mip_infeasible():
-    variables = [Variable("x", 0, 1, 1.0, is_integer=True)]
-    cons = [Constraint("hi", (("x", 1.0),), ">=", 2.0)]
-    res = solve_mip(LinearModel(variables, cons))
+    res = solve_mip(model([1.0], [1], [([-1.0], -2.0)]))
     assert res.status == MipStatus.INFEASIBLE
 
 
 def test_solve_mip_lazy_rows_are_global():
     # lazy cut forbids the initial optimum x1=x2=1; solver must re-solve
-    variables = [
-        Variable("x1", 0, 1, -1.0, is_integer=True),
-        Variable("x2", 0, 1, -1.0, is_integer=True),
-    ]
-    model = LinearModel(variables, [])
     calls = []
 
-    def lazy(assignment):
-        if round(assignment["x1"]) == 1 and round(assignment["x2"]) == 1:
-            calls.append(dict(assignment))
-            return Constraint("cut", (("x1", 1.0), ("x2", 1.0)), "<=", 1.0)
+    def lazy(x):
+        if x.tolist() == [1.0, 1.0]:
+            calls.append(x.copy())
+            return np.array([0, 1]), np.array([1.0, 1.0]), 1.0
         return None
 
-    res = solve_mip(model, lazy=lazy)
+    res = solve_mip(model([-1.0, -1.0], [1, 1]), lazy=lazy)
     assert res.status == MipStatus.OPTIMAL
     assert calls, "lazy callback never fired"
     assert res.objective == pytest.approx(-1.0)
-    assert round(res.assignment["x1"]) + round(res.assignment["x2"]) == 1
+    assert res.x.sum() == 1.0
 
 
 def test_solve_mip_bound_grid_snaps_bound():
     # objective values live on a 0.5 grid; pruning may use the snapped bound
-    variables = [
-        Variable("x1", 0, 1, 0.5, is_integer=True),
-        Variable("x2", 0, 1, 0.5, is_integer=True),
-    ]
-    cons = [Constraint("lo", (("x1", 1.0), ("x2", 1.0)), ">=", 1.2)]
-    res = solve_mip(LinearModel(variables, cons), bound_grid=0.5)
+    res = solve_mip(model([0.5, 0.5], [1, 1], [([-1.0, -1.0], -1.2)]), bound_grid=0.5)
     assert res.status == MipStatus.OPTIMAL
     assert res.objective == pytest.approx(1.0)
 
@@ -117,14 +113,3 @@ def test_solve_mip_optimality_gap_accepts_near_optimal():
     res = solve_mip(knapsack_model(), optimality_gap=0.5)
     assert res.status in (MipStatus.OPTIMAL, MipStatus.FEASIBLE)
     assert res.objective <= -19.0 * 0.5
-
-
-def test_lazy_equality_rejected():
-    variables = [Variable("x", 0, 1, -1.0, is_integer=True)]
-    model = LinearModel(variables, [])
-
-    def lazy(assignment):
-        return Constraint("eq", (("x", 1.0),), "==", 0.0)
-
-    with pytest.raises(ModelError):
-        solve_mip(model, lazy=lazy)
