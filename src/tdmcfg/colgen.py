@@ -420,6 +420,15 @@ def column_generation(
     t0 = time.monotonic()
     f = instance.frame_size
     n = instance.n_clients
+
+    def pricing_budget() -> Optional[float]:
+        # each pricing call gets what is left of the node's limit
+        budget = limits.pricing_effort
+        if limits.time_limit is not None:
+            remaining = max(0.1, limits.time_limit - (time.monotonic() - t0))
+            budget = remaining if budget is None else min(remaining, budget)
+        return budget
+
     try:
         ensure_seed_columns(pool, node, instance, limits.time_limit)
     except PricingTimeoutError:
@@ -434,12 +443,6 @@ def column_generation(
             pool, node, instance, master.objective,
             fallback=extract_duals(lp, instance),
         )
-        remaining = None
-        if limits.time_limit is not None:
-            remaining = max(0.1, limits.time_limit - (time.monotonic() - t0))
-        budget = limits.pricing_effort
-        if remaining is not None:
-            budget = remaining if budget is None else min(remaining, budget)
         decisions = node_decisions(node)
         slot_use: dict[int, dict[int, float]] = {}  # client -> slot -> count
         for client in instance.clients:
@@ -458,7 +461,8 @@ def column_generation(
                     tie_break[s] = tie_break.get(s, 0.0) + cnt
             try:
                 column, xi, proven = price_client(
-                    client, duals, f, node, time_limit=budget, tie_break=tie_break
+                    client, duals, f, node, time_limit=pricing_budget(),
+                    tie_break=tie_break,
                 )
             except ClientInfeasibleError as exc:
                 raise NodeInfeasibleError(client.id) from exc

@@ -28,8 +28,8 @@ from .model import (
     DominanceClass,
     ProblemInstance,
     Schedule,
-    ServiceCurve,
     dominance_class,
+    latency_witness,
     slot_lower_bound,
 )
 
@@ -125,24 +125,12 @@ def find_latency_violation(
 ) -> Optional[tuple[int, int]]:
     """First (k, j) window where the exact latency condition fails.
 
-    Exact rational comparison: wc(k, j) * f >= phi * (j - latency).
-    Returns None when the mask meets the client's latency bound.
+    Returns None when the mask meets the client's latency bound, and for
+    a rate-0 client, which needs no service.
     """
-    phi = sum(mask)
-    if phi == 0 or client.required_rate == 0:
+    if client.required_rate == 0:
         return None
-    theta = client.effective_latency(frame_size)
-    num, den = theta.numerator, theta.denominator
-    curve = ServiceCurve(mask)
-    for j in range(1, frame_size + 1):
-        need = phi * (j * den - num)  # scaled by den; compare against wc*f*den
-        if need <= 0:
-            continue
-        scale = frame_size * den
-        for k in range(1, frame_size + 1):
-            if curve.value(k, j) * scale < need:
-                return (k, j)
-    return None
+    return latency_witness(mask, client.effective_latency(frame_size))
 
 
 def build_ilp(

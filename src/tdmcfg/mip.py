@@ -36,6 +36,7 @@ class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
+    TIMED_OUT = "timed_out"
 
 
 class MipStatus(Enum):
@@ -113,13 +114,16 @@ def solve_lp(
     model: LinearModel,
     bound_overrides: Optional[dict[int, tuple[float, float]]] = None,
     extra_rows: Sequence[Row] = (),
+    time_limit: Optional[float] = None,
 ) -> LpSolution:
     """Solve the LP relaxation; deterministic for a fixed input.
 
     ``bound_overrides`` tightens variable bounds by index without
     rebuilding the model; ``extra_rows`` appends ``<=`` rows after the
-    model's own (used for lazy cuts).
+    model's own (used for lazy cuts).  ``time_limit`` bounds the seconds
+    spent in HiGHS; reaching it gives ``LpStatus.TIMED_OUT``.
     """
+    t0 = time.monotonic()
     bounds = np.column_stack([model.lower, model.upper])
     if bound_overrides:
         for i, (lo, hi) in bound_overrides.items():
@@ -150,13 +154,21 @@ def solve_lp(
         b_eq=model.b_eq,
         bounds=bounds,
     )
-    res = linprog(model.c, method="highs", **args)
-    if res.status not in (0, 2, 3):
+
+    def limit() -> dict:
+        if time_limit is None:
+            return {}
+        return {"time_limit": max(0.0, time_limit - (time.monotonic() - t0))}
+
+    res = linprog(model.c, method="highs", options=limit(), **args)
+    if res.status not in (0, 1, 2, 3):
         # HiGHS occasionally reports "Unknown" on numerically awkward
         # models; dual simplex without presolve is a reliable fallback
         res = linprog(
-            model.c, method="highs-ds", options={"presolve": False}, **args
+            model.c, method="highs-ds", options={"presolve": False, **limit()}, **args
         )
+    if res.status == 1:
+        return LpSolution(LpStatus.TIMED_OUT)
     if res.status == 2:
         return LpSolution(LpStatus.INFEASIBLE)
     if res.status == 3:
@@ -214,11 +226,12 @@ def solve_mip(
         slack = max(FEASIBILITY_TOL, optimality_gap * max(1.0, abs(best_obj)))
         return best_obj - slack
 
-    open_bounds: list[float] = []
-    while stack:
-        if time_limit is not None and time.monotonic() - t0 > time_limit:
+    def remaining() -> Optional[float]:
+        return None if time_limit is None else time_limit - (time.monotonic() - t0)
+
+    while stack and not timed_out:
+        if time_limit is not None and remaining() < 0:
             timed_out = True
-            open_bounds.extend(pb for _, pb in stack)
             break
         overrides, parent_bound = stack.pop()
         if parent_bound >= prune_threshold():
@@ -226,7 +239,12 @@ def solve_mip(
             continue
         nodes += 1
         while True:
-            lp = solve_lp(model, overrides, lazy_rows)
+            lp = solve_lp(model, overrides, lazy_rows, remaining())
+            if lp.status == LpStatus.TIMED_OUT:
+                # the node stays open at its parent's bound
+                timed_out = True
+                stack.append((overrides, parent_bound))
+                break
             if lp.status != LpStatus.OPTIMAL:
                 break  # infeasible node (unbounded cannot occur with finite bounds)
             bound = _snap_bound(lp.objective, bound_grid)
@@ -260,6 +278,7 @@ def solve_mip(
                 best_x = x
             break
 
+    open_bounds = [pb for _, pb in stack] if timed_out else []
     if best_x is None:
         if timed_out:
             bound = min(open_bounds, default=math.inf)

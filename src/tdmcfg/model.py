@@ -1,8 +1,10 @@
 """Domain types and exact latency-rate analysis of TDM schedules.
 
 Rates are fractions of the frame, latencies are measured in slots.  All
-analysis is done with exact rational arithmetic so that feasibility
-verdicts never depend on floating-point tolerances.
+analysis is exact: rates and latencies are rationals, and one integer
+window kernel (``late_windows``) scales the latency-rate service bound by
+the latency's denominator, so feasibility verdicts never depend on
+floating-point tolerances.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 
 class UnknownClientError(KeyError):
@@ -198,46 +202,6 @@ class Column:
         return tuple(j + 1 for j, b in enumerate(self.mask) if b)
 
 
-class ServiceCurve:
-    """Worst-case provided service of one client under a fixed schedule.
-
-    ``value(k, j)`` is the number of slots the client holds among the j
-    consecutive slots starting at slot k (1-based), wrapping cyclically.
-    """
-
-    def __init__(self, mask: Sequence[int]):
-        self._mask = tuple(int(b) for b in mask)
-        f = len(self._mask)
-        # prefix[j] = allocated slots among the first j slots
-        prefix = [0] * (f + 1)
-        for j, b in enumerate(self._mask):
-            prefix[j + 1] = prefix[j] + b
-        self._prefix = prefix
-        self._f = f
-
-    @property
-    def frame_size(self) -> int:
-        return self._f
-
-    @property
-    def total(self) -> int:
-        return self._prefix[self._f]
-
-    def value(self, k: int, j: int) -> int:
-        f = self._f
-        if not (1 <= k <= f and 1 <= j <= f):
-            raise ValueError("window indices must lie in 1..f")
-        start = k - 1
-        end = start + j
-        if end <= f:
-            return self._prefix[end] - self._prefix[start]
-        return (self._prefix[f] - self._prefix[start]) + self._prefix[end - f]
-
-    def min_over_starts(self, j: int) -> int:
-        """Worst case over all window start positions for a duration j."""
-        return min(self.value(k, j) for k in range(1, self._f + 1))
-
-
 @dataclass(frozen=True)
 class LrCharacterization:
     """Exact latency-rate parameters provided by a schedule to one client."""
@@ -261,26 +225,62 @@ def allocated_rate(
     return Fraction(schedule.alloc_count(client_id), schedule.frame_size)
 
 
-def service_curve(schedule: Schedule, client_id: int) -> ServiceCurve:
-    return ServiceCurve(schedule.mask(client_id))
+def window_service(masks) -> np.ndarray:
+    """Slots held in every cyclic window, for one 0/1 mask or a stack.
+
+    For masks of shape ``(..., f)`` the result has shape ``(..., f, f)``;
+    entry ``[..., j - 1, k - 1]`` counts the slots held among the j
+    consecutive slots starting at slot k (1-based), wrapping cyclically.
+    """
+    m = np.asarray(masks, dtype=np.int64)
+    f = m.shape[-1]
+    prefix = np.zeros(m.shape[:-1] + (2 * f + 1,), dtype=np.int64)
+    np.cumsum(np.concatenate([m, m], axis=-1), axis=-1, out=prefix[..., 1:])
+    starts = np.arange(f)[None, :]
+    ends = starts + np.arange(1, f + 1)[:, None]
+    return prefix[..., ends] - prefix[..., starts]
+
+
+def late_windows(masks, theta) -> np.ndarray:
+    """Windows where the LR service bound fails, shaped like ``window_service``.
+
+    A mask holding phi slots meets latency theta = num / den when every
+    window (k, j) gives it service * f >= phi * (j - theta); window (k, j)
+    is late when service * f * den < phi * (j * den - num).  All integer.
+    """
+    theta = Fraction(theta)
+    num, den = theta.numerator, theta.denominator
+    m = np.asarray(masks, dtype=np.int64)
+    f = m.shape[-1]
+    # exact beyond int64 too: fall back to Python integers
+    dtype = np.int64 if f * (f * den + abs(num)) < 2**62 else object
+    service = window_service(m).astype(dtype, copy=False)
+    phi = m.sum(axis=-1, keepdims=True)[..., None].astype(dtype)
+    need = phi * (np.arange(1, f + 1, dtype=dtype) * den - num)[:, None]
+    return service * (f * den) < need
+
+
+def latency_witness(mask: Sequence[int], theta) -> Optional[tuple[int, int]]:
+    """First late window (k, j) in j-major, k-minor order, or None."""
+    late = np.flatnonzero(late_windows(mask, theta))
+    if late.size == 0:
+        return None
+    j, k = divmod(int(late[0]), len(mask))
+    return (k + 1, j + 1)
 
 
 def mask_service_latency(mask: Sequence[int]) -> Fraction:
-    """Minimum latency satisfying the LR service bound for a 0/1 mask."""
-    curve = ServiceCurve(mask)
-    f = curve.frame_size
-    phi = curve.total
+    """Minimum latency satisfying the LR service bound for a 0/1 mask.
+
+    theta = max(0, max_{k,j} (j - service(k, j) * f / phi)); one frame adds
+    exactly phi service, so durations beyond f never dominate.
+    """
+    f = len(mask)
+    phi = int(sum(mask))
     if phi == 0:
         raise LatencyUndefinedError("client holds no slots, latency undefined")
-    # theta = max(0, max_{k,j} (j - wc(k,j) / rho)); one frame adds exactly
-    # rho * f service, so durations beyond f never dominate
-    worst = Fraction(0)
-    for j in range(1, f + 1):
-        wc = curve.min_over_starts(j)
-        candidate = j - Fraction(wc * f, phi)
-        if candidate > worst:
-            worst = candidate
-    return worst
+    worst = np.arange(1, f + 1) * phi - f * window_service(mask).min(axis=-1)
+    return Fraction(max(0, int(worst.max())), phi)
 
 
 def service_latency(schedule: Schedule, client_id: int) -> Fraction:

@@ -1,8 +1,10 @@
-"""Independent feasibility checker and brute-force oracle.
+"""Feasibility checker and brute-force oracle.
 
-Deliberately shares no constraint-construction code with the solvers:
-feasibility is judged purely from the exact LR analysis in ``model``.
-All comparisons are rational, never tolerance-based.
+Feasibility is judged purely from the exact LR analysis in ``model``:
+the checker builds no solver constraints, but it shares the ``model``
+window kernel with the solvers' lazy latency separation.  The check that
+shares no code with ``tdmcfg`` at all is ``perfbench/checker.py``.
+All comparisons are exact, never tolerance-based.
 """
 
 from __future__ import annotations
@@ -11,11 +13,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .model import (
     ClientRequirement,
     ProblemInstance,
     Schedule,
-    ServiceCurve,
+    late_windows,
+    latency_witness,
     rate_slot_bound,
     slot_lower_bound,
 )
@@ -55,28 +60,6 @@ class FeasibilityReport:
         return out
 
 
-def _latency_witness(
-    mask: Sequence[int], theta_bound: Fraction
-) -> Optional[tuple[int, int]]:
-    """First (k, j) window where Eq.-(1)-style service falls short.
-
-    The provided service in a window of duration j must reach
-    rho * (j - theta_bound) with rho the allocated rate; exact compare
-    via wc * f >= phi * (j - theta_bound).
-    """
-    phi = sum(mask)
-    f = len(mask)
-    curve = ServiceCurve(mask)
-    for j in range(1, f + 1):
-        need = phi * (Fraction(j) - theta_bound)
-        if need <= 0:
-            continue
-        for k in range(1, f + 1):
-            if Fraction(curve.value(k, j) * f) < need:
-                return (k, j)
-    return None
-
-
 def client_feasible(
     mask: Sequence[int], req: ClientRequirement, frame_size: int
 ) -> FeasibilityReport:
@@ -90,7 +73,7 @@ def client_feasible(
             Violation(req.id, "rate", (phi, rate_slot_bound(req, frame_size)))
         )
     elif req.required_rate > 0:
-        witness = _latency_witness(mask, req.effective_latency(frame_size))
+        witness = latency_witness(mask, req.effective_latency(frame_size))
         if witness is not None:
             violations.append(Violation(req.id, "latency", witness))
     return FeasibilityReport(not violations, violations, Fraction(phi, frame_size))
@@ -117,30 +100,24 @@ def schedule_feasible(
 
 
 def _feasible_masks(req: ClientRequirement, frame_size: int) -> list[int]:
-    """All feasible masks of one client, as slot bitmask ints, fewest slots first."""
+    """All feasible masks of one client, as slot bitmask ints, fewest slots first.
+
+    Masks are checked in stacked chunks of bounded size.
+    """
     f = frame_size
     lb = slot_lower_bound(req, f)
     theta = req.effective_latency(f)
-    num, den = theta.numerator, theta.denominator
+    chunk = max(1, 2**18 // (f * f))
     out: list[int] = []
-    for bits in range(1 << f):
-        phi = bits.bit_count()
-        if phi < lb:
-            continue
+    for start in range(0, 1 << f, chunk):
+        bits = np.arange(start, min(start + chunk, 1 << f), dtype=np.int64)
+        masks = (bits[:, None] >> np.arange(f)) & 1
+        keep = masks.sum(axis=1) >= lb
+        bits, masks = bits[keep], masks[keep]
         if req.required_rate > 0:
-            mask = [(bits >> s) & 1 for s in range(f)]
-            curve = ServiceCurve(mask)
-            ok = True
-            for j in range(1, f + 1):
-                need = phi * (j * den - num)
-                if need <= 0:
-                    continue
-                if curve.min_over_starts(j) * f * den < need:
-                    ok = False
-                    break
-            if not ok:
-                continue
-        out.append(bits)
+            ok = ~late_windows(masks, theta).any(axis=(1, 2))
+            bits = bits[ok]
+        out.extend(bits.tolist())
     out.sort(key=lambda b: (b.bit_count(), b))
     return out
 

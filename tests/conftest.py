@@ -1,7 +1,9 @@
-"""Shared fixtures: the worked 2-client example and random instances."""
+"""Shared fixtures: the worked 2-client example, random instances and the
+slow cyclic service-curve oracle."""
 
 import random
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import pytest
 
@@ -51,3 +53,49 @@ def random_mask(rng: random.Random, frame_size: int, min_slots: int = 1):
     for s in slots:
         mask[s] = 1
     return tuple(mask)
+
+
+class ServiceCurve:
+    """Worst-case provided service of one client under a fixed schedule.
+
+    ``value(k, j)`` is the number of slots the client holds among the j
+    consecutive slots starting at slot k (1-based), wrapping cyclically.
+    A slow, loop-based reference for the window kernel in ``tdmcfg.model``.
+    """
+
+    def __init__(self, mask: Sequence[int]):
+        self._mask = tuple(int(b) for b in mask)
+        f = len(self._mask)
+        # prefix[j] = allocated slots among the first j slots
+        prefix = [0] * (f + 1)
+        for j, b in enumerate(self._mask):
+            prefix[j + 1] = prefix[j] + b
+        self._prefix = prefix
+        self._f = f
+
+    @property
+    def total(self) -> int:
+        return self._prefix[self._f]
+
+    def value(self, k: int, j: int) -> int:
+        f = self._f
+        if not (1 <= k <= f and 1 <= j <= f):
+            raise ValueError("window indices must lie in 1..f")
+        start = k - 1
+        end = start + j
+        if end <= f:
+            return self._prefix[end] - self._prefix[start]
+        return (self._prefix[f] - self._prefix[start]) + self._prefix[end - f]
+
+    def min_over_starts(self, j: int) -> int:
+        """Worst case over all window start positions for a duration j."""
+        return min(self.value(k, j) for k in range(1, self._f + 1))
+
+    def first_late_window(self, theta) -> Optional[tuple[int, int]]:
+        """First (k, j), j-major, where value(k, j) < phi / f * (j - theta)."""
+        rate = Fraction(self.total, self._f)
+        for j in range(1, self._f + 1):
+            for k in range(1, self._f + 1):
+                if self.value(k, j) < rate * (j - theta):
+                    return (k, j)
+        return None

@@ -36,7 +36,6 @@ from tdmcfg.ilp import IlpBuildOptions, solve_direct
 from tdmcfg.mip import MipStatus
 from tdmcfg.model import (
     LrCharacterization,
-    ServiceCurve,
     allocated_rate,
     mask_service_latency,
     service_latency,
@@ -47,7 +46,7 @@ from tdmcfg.serialize import load_instance
 from tdmcfg.usecase import BD, LD, MD, GenSpec, generate
 from tdmcfg.verify import brute_force_optimum, schedule_feasible
 
-from conftest import random_instance, random_mask
+from conftest import ServiceCurve, random_instance, random_mask
 
 
 def test_golden_trace(golden_instance, golden_seed_columns):

@@ -115,6 +115,19 @@ def test_solve_bnp_seed_pricing_obeys_time_limit():
         assert schedule_feasible(schedule, instance).feasible
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_solve_bnp_root_completion_lp_obeys_time_limit(seed):
+    # the heuristic fails here and the root ILP completion starts one HiGHS
+    # LP of about 31 000 rows that takes longer than the whole limit
+    instance = generate(GenSpec.default("MD", 8, seed=seed))
+    t0 = time.monotonic()
+    schedule, status, _, _, _ = solve_bnp(instance, BnpConfig(time_limit=5))
+    assert time.monotonic() - t0 < 5.75
+    assert status in (MipStatus.TIMED_OUT, MipStatus.FEASIBLE)
+    if schedule is not None:
+        assert schedule_feasible(schedule, instance).feasible
+
+
 def test_integral_master_failing_verification_raises(monkeypatch):
     # an LD instance whose search reaches an integral, conflict-free master
     rates = ("0.100594", "0.10068", "0.09812", "0.055838")

@@ -20,10 +20,10 @@ from tdmcfg.ilp import (
     window_slots,
 )
 from tdmcfg.mip import MipStatus
-from tdmcfg.model import ClientRequirement, ProblemInstance, ServiceCurve
+from tdmcfg.model import ClientRequirement, ProblemInstance
 from tdmcfg.verify import schedule_feasible
 
-from conftest import random_instance
+from conftest import ServiceCurve, random_instance
 
 
 def test_window_slots_wraps_cyclically():
@@ -41,24 +41,25 @@ def test_check_fixings_conflicts():
 
 
 def test_find_latency_violation_matches_exact_check():
+    # the witness is the first late window of the cyclic scan, j-major
     rng = random.Random(3)
-    for _ in range(40):
-        f = rng.randint(4, 10)
+    for _ in range(200):
+        f = rng.randint(1, 24)
         mask = [rng.randint(0, 1) for _ in range(f)]
-        if sum(mask) == 0:
-            mask[0] = 1
-        req = ClientRequirement(
-            1, "c", Fraction(sum(mask), f), Fraction(rng.randint(1, 2 * f), 2)
+        if rng.random() < 0.1:
+            mask = [0] * f  # phi = 0: no service needed, nothing is late
+        # the largest denominator takes the kernel's Python-int path
+        den = rng.choice([1, 2, 3, 7, 10**18 + 9])
+        theta = Fraction(rng.randint(0, 3 * f * den), den)
+        req = ClientRequirement(1, "c", Fraction(sum(mask), f), theta)
+        assert find_latency_violation(mask, req, f) == (
+            ServiceCurve(mask).first_late_window(theta)
         )
-        hit = find_latency_violation(mask, req, f)
-        theta = req.effective_latency(f)
-        curve = ServiceCurve(mask)
-        truly_ok = all(
-            curve.value(k, j) >= Fraction(sum(mask), f) * (j - theta)
-            for j in range(1, f + 1)
-            for k in range(1, f + 1)
-        )
-        assert (hit is None) == truly_ok
+    sparse = [1, 0, 0, 0, 1, 1, 0, 0, 0, 0]  # latency 14/3
+    req = ClientRequirement(1, "c", Fraction(3, 10), Fraction(9, 2))
+    assert find_latency_violation(sparse, req, 10) == (7, 8)
+    rate_free = ClientRequirement(1, "c", Fraction(0), Fraction(1))
+    assert find_latency_violation(sparse, rate_free, 10) is None
 
 
 def test_strengthened_rows_are_valid_cuts():

@@ -1,10 +1,13 @@
 """LP/MIP kernel: duals, branch-and-bound, lazy rows, time limits."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from tdmcfg import mip
 from tdmcfg.mip import LinearModel, LpStatus, MipStatus, solve_lp, solve_mip, stack_rows
 
 
@@ -107,6 +110,25 @@ def test_solve_mip_time_limit_reports_timeout():
     res = solve_mip(knapsack_model(), time_limit=-1.0)
     assert res.status == MipStatus.TIMED_OUT
     assert res.best_bound <= -19.0 + 1e-9 or math.isinf(res.best_bound)
+
+
+def test_lp_time_out_keeps_the_node_open(monkeypatch):
+    # the root LP solves; the first child's LP runs out of time in HiGHS
+    root = solve_lp(knapsack_model())
+    limits = []
+
+    def fake_linprog(c, method, options, **args):
+        limits.append(options["time_limit"])
+        if len(limits) == 1:
+            return linprog(c, method=method, options=options, **args)
+        return SimpleNamespace(status=1, message="Time limit reached")
+
+    monkeypatch.setattr(mip, "linprog", fake_linprog)
+    res = solve_mip(knapsack_model(), time_limit=60.0)
+    assert len(limits) == 2 and all(0 < t <= 60.0 for t in limits)
+    assert res.status == MipStatus.TIMED_OUT and res.x is None
+    # both children stay open at the root bound
+    assert res.best_bound == pytest.approx(root.objective)
 
 
 def test_solve_mip_optimality_gap_accepts_near_optimal():

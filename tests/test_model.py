@@ -12,7 +12,6 @@ from tdmcfg.model import (
     LrCharacterization,
     ProblemInstance,
     Schedule,
-    ServiceCurve,
     UnknownClientError,
     allocated_rate,
     dominance_class,
@@ -23,7 +22,7 @@ from tdmcfg.model import (
     wc_finishing_times,
 )
 
-from conftest import random_mask
+from conftest import ServiceCurve, random_mask
 
 
 def test_client_requirement_validation():

@@ -10,12 +10,13 @@ from tdmcfg.mip import MipStatus
 from tdmcfg.model import ClientRequirement, ProblemInstance, Schedule
 from tdmcfg.verify import (
     BudgetExceededError,
+    _feasible_masks,
     brute_force_optimum,
     client_feasible,
     schedule_feasible,
 )
 
-from conftest import random_instance
+from conftest import ServiceCurve, random_instance
 
 
 def test_client_feasible_rate_violation():
@@ -33,6 +34,48 @@ def test_client_feasible_latency_violation():
     assert report.violations[0].kind == "latency"
     ok = client_feasible((1, 0, 1, 0), req, 4)
     assert ok.feasible
+
+
+def test_client_feasible_latency_witness_is_first_late_window():
+    rng = random.Random(11)
+    for _ in range(60):
+        f = rng.randint(2, 16)
+        mask = [rng.randint(0, 1) for _ in range(f)]
+        mask[rng.randrange(f)] = 1
+        theta = Fraction(rng.randint(0, 2 * f), rng.choice([1, 2, 3]))
+        req = ClientRequirement(1, "c", Fraction(1, f), theta)
+        report = client_feasible(mask, req, f)
+        late = ServiceCurve(mask).first_late_window(theta)
+        witnesses = [v.witness for v in report.violations if v.kind == "latency"]
+        assert witnesses == ([] if late is None else [late])
+
+
+@pytest.mark.parametrize(
+    "rate, latency, f",
+    [
+        (Fraction(1, 4), None, 8),
+        (Fraction(1, 5), Fraction(5, 2), 10),
+        (Fraction(1, 3), Fraction(2), 9),
+        (Fraction(0), Fraction(3), 6),
+    ],
+    ids=["rate-only", "fractional-latency", "integer-latency", "zero-rate"],
+)
+def test_feasible_masks_match_service_curve_scan(rate, latency, f):
+    req = ClientRequirement(1, "c", rate, latency)
+    theta = req.effective_latency(f)
+    expected = []
+    for bits in range(1 << f):
+        mask = [(bits >> s) & 1 for s in range(f)]
+        curve = ServiceCurve(mask)
+        if Fraction(curve.total, f) < rate:
+            continue
+        if rate > 0 and curve.total < -(-f // (theta + 1)):
+            continue  # below the latency slot bound
+        if rate > 0 and curve.first_late_window(theta) is not None:
+            continue
+        expected.append(bits)
+    expected.sort(key=lambda b: (b.bit_count(), b))
+    assert _feasible_masks(req, f) == expected
 
 
 def test_schedule_feasible_flags_unknown_client():
