@@ -335,10 +335,9 @@ def solve_bnp(
             ran_out = True
             break
         node = stack.pop()
-        ub_slots = best_slots if incumbent is not None else f + 1
         stats.nodes_opened += 1
         limits = ColGenLimits(
-            upper_bound=(ub_slots - 1 + 1e-9) / f,
+            upper_bound=(best_slots - 1 + 1e-9) / f,
             time_limit=remaining(),
         )
         try:
@@ -349,7 +348,9 @@ def solve_bnp(
         stats.columns_generated += res.columns_added
         stats.node_log.append((node.depth, res.lower_bound, list(res.lagrangian_estimates)))
         lb_slots = math.ceil(res.lower_bound * f - 1e-6)
-        if incumbent is not None and lb_slots >= best_slots:
+        # with no incumbent best_slots is f + 1: a bound above f slots needs
+        # over-allocation, so the node holds no feasible schedule
+        if lb_slots >= best_slots:
             stats.nodes_pruned += 1
             stats.pruned_bounds.append(res.lower_bound)
             continue
@@ -416,10 +417,12 @@ def solve_bnp(
         stack.append(second)
         stack.append(first)
 
-    if ran_out:
-        for nd in stack:
-            open_bound_floor = min(open_bound_floor, nd.local_bound)
-        bound = open_bound_floor if math.isfinite(open_bound_floor) else -math.inf
+    for nd in stack:
+        open_bound_floor = min(open_bound_floor, nd.local_bound)
+    # an open node counts only if its bound leaves room below best_slots
+    # (f + 1 with no incumbent); otherwise the search is complete
+    if ran_out and open_bound_floor * f - 1e-6 <= best_slots - 1:
+        bound = min(open_bound_floor, 1.0)  # phi never exceeds 1
         if incumbent is None:
             return None, MipStatus.TIMED_OUT, None, bound, stats
         return incumbent, MipStatus.FEASIBLE, incumbent_phi, bound, stats

@@ -1,8 +1,12 @@
 """Column generation: restricted master, dual extraction and pricing.
 
 The master selects one slot-allocation column per client while penalizing
-slot over-allocation; the pricing sub-model searches, per client, for a
-column with negative reduced cost under the master's shadow prices.
+slot over-allocation; pricing searches, per client, for a column with
+negative reduced cost under the master's shadow prices.  Pricing is an
+exact oracle: at a fixed slot count t the latency-rate condition becomes
+difference constraints on prefix sums (a circular-ones structure, as in
+Bartholdi, Orlin and Ratliff 1980), so one LP per t has an integral
+optimal vertex.
 
 Sign convention: sigma values are stored so the reduced cost of a column
 is sum_j mask_j * lambda_j + slot_count / f - sigma directly.
@@ -18,27 +22,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
-from .ilp import find_latency_violation, service_row, service_rows, strengthened_rows
-from .mip import (
-    LinearModel,
-    LpSolution,
-    LpStatus,
-    MipStatus,
-    solve_lp,
-    solve_mip,
-    stack_rows,
-)
-from .model import (
-    ClientRequirement,
-    Column,
-    ProblemInstance,
-    Schedule,
-    slot_lower_bound,
-)
+from .mip import LinearModel, LpSolution, LpStatus, solve_lp, stack_rows
+from .model import ClientRequirement, Column, ProblemInstance, slot_lower_bound
+from .verify import client_feasible
 
 M_PRIME = 10.0
 REDUCED_COST_TOL = 1e-6
@@ -53,19 +45,15 @@ class NodeInfeasibleError(Exception):
         self.client_id = client_id
 
 
-class PricingTimeoutError(Exception):
-    """A pricing sub-model ran out of time before proving optimality."""
-
-    def __init__(self, client_id: int):
-        super().__init__(f"pricing timed out for client {client_id}")
-        self.client_id = client_id
+class LpTimeoutError(Exception):
+    """An LP of column generation (master or pricing) reached its time limit."""
 
 
 class ClientInfeasibleError(Exception):
-    """A single client's sub-model is infeasible under the node fixings."""
+    """No column of a single client meets its requirements under the node fixings."""
 
     def __init__(self, client_id: int):
-        super().__init__(f"sub-model infeasible for client {client_id}")
+        super().__init__(f"no feasible column for client {client_id} under the fixings")
         self.client_id = client_id
 
 
@@ -188,10 +176,12 @@ def build_master(
 
 
 def solve_master(
-    pool: ColumnPool, node, instance: ProblemInstance
+    pool: ColumnPool, node, instance: ProblemInstance, time_limit: Optional[float] = None
 ) -> tuple[MasterSolution, LpSolution]:
     model, keys = build_master(pool, node, instance)
-    lp = solve_lp(model)
+    lp = solve_lp(model, time_limit=time_limit)
+    if lp.status == LpStatus.TIMED_OUT:
+        raise LpTimeoutError("master LP")
     if lp.status != LpStatus.OPTIMAL:
         raise RuntimeError(f"master LP not optimal: {lp.status}")
     values = lp.x.tolist()
@@ -218,6 +208,7 @@ def canonical_duals(
     instance: ProblemInstance,
     master_objective: float,
     fallback: Optional[DualPrices] = None,
+    time_limit: Optional[float] = None,
 ) -> DualPrices:
     """Minimal-price dual solution on the master's optimal dual face.
 
@@ -226,7 +217,8 @@ def canonical_duals(
     basis choice.  Among all optimal duals we pick the one minimizing
     sum_j lambda_j: dual feasibility of every admissible column plus
     strong duality pin down the face, and the minimal prices make pricing
-    deterministic and well-scaled.
+    deterministic and well-scaled.  When this LP fails or reaches
+    ``time_limit``, ``fallback`` (the simplex duals) is returned instead.
     """
     decisions = node_decisions(node)
     f = instance.frame_size
@@ -251,7 +243,7 @@ def canonical_duals(
         np.zeros(f + n, dtype=bool),
         A_ub, b_ub, A_eq, b_eq,
     )
-    lp = solve_lp(model)
+    lp = solve_lp(model, time_limit=time_limit)
     if lp.status != LpStatus.OPTIMAL:
         if fallback is not None:
             return fallback
@@ -262,41 +254,66 @@ def canonical_duals(
     return DualPrices(lam, sigma)
 
 
-def build_sub_model(
-    client: ClientRequirement,
-    lam: dict[int, float],
-    frame_size: int,
-    decisions: Sequence[tuple] = (),
-    tie_break: Optional[dict[int, float]] = None,
-) -> LinearModel:
-    """Single-client pricing model, initially with single-point latency rows.
+def window_lengths(theta: Fraction, frame_size: int, t: int) -> list[int]:
+    """Shortest window length j_r that must hold r of t slots, r = 1, 2, ...
 
-    Variable ``s - 1`` is the client holding slot s.  ``tie_break`` adds an
-    epsilon-scaled per-slot cost that steers the choice among equal-cost
-    columns (toward slots other clients use less) without disturbing the
-    primary objective.
+    A mask of t slots meets latency theta when every window of length j
+    holds at least ceil(t * (j - theta) / f) of them; that need first
+    reaches r at j_r = floor(theta + (r - 1) * f / t) + 1.  Lengths of f
+    and more are left out: the whole frame always holds all t slots.
     """
     f = frame_size
-    lower, upper = np.zeros(f), np.ones(f)
-    for client_id, slot, allocate in decisions:
-        if client_id == client.id and allocate:
-            lower[slot - 1] = 1.0
-        elif client_id == client.id or allocate:
-            upper[slot - 1] = 0.0
-    slots = range(1, f + 1)
-    cost = np.array([lam.get(j, 0.0) for j in slots]) + 1.0 / f
-    if tie_break:
-        cost += TIE_BREAK_EPS * np.array([tie_break.get(j, 0.0) for j in slots])
-    blocks = []
-    lb = slot_lower_bound(client, f)
-    if lb > 0:
-        blocks.append((0, -np.ones((1, f)), [-float(lb)]))
+    num, den = theta.numerator, theta.denominator
+    lengths = []
+    for r in range(1, t + 1):
+        j = (num * t + (r - 1) * f * den) // (den * t) + 1
+        if j >= f:
+            break
+        lengths.append(j)
+    return lengths
+
+
+def build_sub_model(
+    client: ClientRequirement,
+    cost: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    t: int,
+) -> LinearModel:
+    """Pricing LP of one client at a fixed slot count t, over prefix sums.
+
+    Variable s is S_s, the slots held among slots 1..s, for s = 0..f, with
+    S_0 = 0 and S_f = t fixed by their bounds.  Every row is
+    S_a - S_b <= w: the box lower_s <= S_s - S_{s-1} <= upper_s, and for
+    each window start k and need r the shortest window that needs r slots
+    (a window that wraps past slot f holds t - S_k + S_{k+j-f} of them).
+    Difference rows make the matrix totally unimodular, so every vertex
+    is an integral mask.  The objective sum_s cost_s * (S_s - S_{s-1}) is
+    written over S.
+    """
+    f = len(cost)
+    s = np.arange(1, f + 1)
+    a, b, w = [s, s - 1], [s - 1, s], [upper, -lower]
     if client.required_rate > 0:
-        theta = client.effective_latency(f)
-        blocks.append((0, *service_rows(client, f, [min(math.floor(theta) + 1, f)])))
-        blocks.append((0, *strengthened_rows(client, f)))
-    A_ub, b_ub = stack_rows(blocks, f)
-    return LinearModel(cost, lower, upper, np.ones(f, dtype=bool), A_ub, b_ub)
+        j = np.array(window_lengths(client.effective_latency(f), f, t), dtype=int)
+        need = np.arange(1, len(j) + 1)[:, None]
+        k = np.arange(f)
+        end = k + j[:, None]  # [need, start]
+        wraps = end > f
+        a.append(np.broadcast_to(k, end.shape).ravel())
+        b.append(np.where(wraps, end - f, end).ravel())
+        w.append(np.where(wraps, t - need, -need).ravel())
+    a, b, w = np.concatenate(a), np.concatenate(b), np.concatenate(w)
+    m = len(w)
+    # row i holds +1 at column a[i] and -1 at column b[i]
+    indices = np.column_stack([a, b]).ravel()
+    A_ub = sparse.csr_matrix(
+        (np.tile([1.0, -1.0], m), indices, np.arange(0, 2 * m + 1, 2)), shape=(m, f + 1)
+    )
+    lo, hi = np.zeros(f + 1), np.full(f + 1, float(t))
+    lo[f], hi[0] = t, 0.0
+    c = np.concatenate([[-cost[0]], cost[:-1] - cost[1:], [cost[-1]]])
+    return LinearModel(c, lo, hi, np.zeros(f + 1, dtype=bool), A_ub, w.astype(float))
 
 
 def price_client(
@@ -304,38 +321,71 @@ def price_client(
     duals: DualPrices,
     frame_size: int,
     node=None,
-    gap: float = 0.0,
     time_limit: Optional[float] = None,
     tie_break: Optional[dict[int, float]] = None,
-) -> tuple[Column, float, bool]:
-    """Minimize the reduced cost of a new column for one client.
+) -> tuple[Column, float]:
+    """Minimize the reduced cost of a new column for one client, exactly.
 
-    Latency window rows beyond the single-point row are added lazily.
-    Returns the best column found, its reduced cost recomputed from the
-    mask (free of any tie-break perturbation), and whether the column was
-    proven optimal: on a sub-model time-out any incumbent is returned
-    with ``proven=False`` so callers can still make progress.
+    For each slot count t from the client's lower bound up, the cheapest
+    feasible mask of t slots is the forced slots plus the t - forced
+    cheapest free ones when that mask meets the latency condition, and
+    otherwise the optimal vertex of one LP (``build_sub_model``).  Slot
+    costs are positive, so that cheapest mask bounds every mask of t slots
+    from below, and the bound grows with t: the search stops once it
+    reaches the best mask found.  ``tie_break`` adds an epsilon-scaled
+    per-slot cost that steers the choice among equal-cost columns without
+    disturbing the primary objective.  Returns the column and its reduced
+    cost recomputed from the mask, free of any tie-break perturbation.
+    Raises ClientInfeasibleError when no mask meets the client's
+    requirements under the node's decisions, and LpTimeoutError when an LP
+    reaches ``time_limit``.
     """
-    decisions = node_decisions(node)
-    model = build_sub_model(client, duals.lam, frame_size, decisions, tie_break)
-
-    def lazy(x):
-        hit = find_latency_violation(x.astype(int).tolist(), client, frame_size)
-        return None if hit is None else service_row(client, frame_size, *hit)
-
-    res = solve_mip(model, lazy=lazy, time_limit=time_limit, optimality_gap=gap)
-    if res.status == MipStatus.INFEASIBLE:
+    f = frame_size
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    lower, upper = np.zeros(f), np.ones(f)
+    for client_id, slot, allocate in node_decisions(node):
+        if client_id == client.id and allocate:
+            lower[slot - 1] = 1.0
+        elif client_id == client.id or allocate:
+            upper[slot - 1] = 0.0
+    if (lower > upper).any():
         raise ClientInfeasibleError(client.id)
-    if res.status == MipStatus.TIMED_OUT:
-        raise PricingTimeoutError(client.id)
-    mask = tuple(res.x.astype(int).tolist())
-    column = Column(client.id, mask)
+    slots = range(1, f + 1)
+    cost = np.array([duals.lam.get(j, 0.0) for j in slots]) + 1.0 / f
+    if tie_break:
+        cost += TIE_BREAK_EPS * np.array([tie_break.get(j, 0.0) for j in slots])
+    forced = int(lower.sum())
+    free = np.flatnonzero(upper > lower)
+    free = free[np.argsort(cost[free], kind="stable")]
+    # floor[i]: cost of the forced slots and the i cheapest free ones
+    floor = cost[lower == 1].sum() + np.concatenate([[0.0], np.cumsum(cost[free])])
+    best, best_cost = None, math.inf
+    for t in range(max(slot_lower_bound(client, f), forced), forced + len(free) + 1):
+        if floor[t - forced] >= best_cost - 1e-12:
+            break
+        mask = lower.copy()
+        mask[free[:t - forced]] = 1.0
+        if not client_feasible(mask.astype(int), client, f).feasible:
+            budget = None if deadline is None else deadline - time.monotonic()
+            lp = solve_lp(build_sub_model(client, cost, lower, upper, t), time_limit=budget)
+            if lp.status == LpStatus.TIMED_OUT:
+                raise LpTimeoutError(f"pricing LP of client {client.id}")
+            if lp.status != LpStatus.OPTIMAL:
+                continue
+            mask = np.round(np.diff(lp.x))
+        if cost @ mask < best_cost:
+            best, best_cost = mask, cost @ mask
+    if best is None:
+        raise ClientInfeasibleError(client.id)
+    column = Column(client.id, best.astype(int).tolist())
+    if not client_feasible(column.mask, client, f).feasible:
+        raise RuntimeError(f"pricing gave client {client.id} an infeasible mask")
     reduced_cost = (
         sum(duals.lam.get(j, 0.0) for j in column.slots())
         + column.slot_count / frame_size
         - duals.sigma.get(client.id, 0.0)
     )
-    return column, reduced_cost, res.status == MipStatus.OPTIMAL
+    return column, reduced_cost
 
 
 def zero_duals(instance: ProblemInstance) -> DualPrices:
@@ -351,7 +401,7 @@ def ensure_seed_columns(
     """Guarantee every client has an admissible column under the node.
 
     Raises NodeInfeasibleError when some client cannot have one at all,
-    and PricingTimeoutError when ``time_limit`` runs out first.
+    and LpTimeoutError when ``time_limit`` runs out first.
     """
     decisions = node_decisions(node)
     duals = zero_duals(instance)
@@ -361,7 +411,7 @@ def ensure_seed_columns(
             continue
         budget = None if deadline is None else deadline - time.monotonic()
         try:
-            column, _, _ = price_client(
+            column, _ = price_client(
                 client, duals, instance.frame_size, node, time_limit=budget
             )
         except ClientInfeasibleError as exc:
@@ -374,14 +424,11 @@ class ColGenLimits:
     upper_bound: float = math.inf
     time_limit: Optional[float] = None
     max_iterations: int = 10_000
-    # cap on a single pricing sub-model solve; a time-out there still
-    # yields the incumbent column when its reduced cost is negative
-    pricing_effort: Optional[float] = 10.0
 
 
 @dataclass
 class ColGenResult:
-    master: Optional[MasterSolution]  # None when seeding columns timed out
+    master: Optional[MasterSolution]  # None when no master LP finished in time
     lower_bound: float
     status: str  # "optimal" | "lagrangian_stop" | "stalled" | "timed_out"
     iterations: int
@@ -393,12 +440,13 @@ def _slots_of(value: float, frame_size: int) -> int:
     return math.ceil(value * frame_size - 1e-6)
 
 
-def _bound_floor(instance: ProblemInstance, lagrangians: list) -> float:
-    """Best lower bound that stays valid when pricing is cut short."""
+def _bound_floor(instance: ProblemInstance, lagrangian: float) -> float:
+    """Best lower bound when the loop stops early: the best Lagrangian
+    value, or the sum of the per-client slot bounds if that is higher."""
     trivial = float(
         sum(slot_lower_bound(c, instance.frame_size) for c in instance.clients)
     ) / instance.frame_size
-    return max([trivial, *lagrangians])
+    return max(trivial, lagrangian)
 
 
 def column_generation(
@@ -410,118 +458,88 @@ def column_generation(
 ) -> ColGenResult:
     """Iterate master solves and pricing until no client prices negatively.
 
-    Every ``n`` iterations the Lagrangian bound (master value plus the sum
-    of all reduced costs) may close the loop early: when it reaches the
-    incumbent, or when it discretizes to the same slot count as the
-    current master value.  ``trace`` receives one
-    (iteration, master objective, {client id: reduced cost}) per iteration.
+    Pricing is exact, so every iteration's Lagrangian value (master value
+    plus the sum of all negative reduced costs) bounds the node from
+    below.  Every ``n`` iterations the best of them may close the loop
+    early: when it reaches the incumbent, or when it discretizes to the
+    same slot count as the current master value.  Past
+    ``limits.time_limit`` the loop returns "timed_out" with the best bound
+    it has.  ``trace`` receives one (iteration, master objective,
+    {client id: reduced cost}) per iteration.
     """
     limits = limits or ColGenLimits()
-    t0 = time.monotonic()
     f = instance.frame_size
     n = instance.n_clients
+    deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
 
-    def pricing_budget() -> Optional[float]:
-        # each pricing call gets what is left of the node's limit
-        budget = limits.pricing_effort
-        if limits.time_limit is not None:
-            remaining = max(0.1, limits.time_limit - (time.monotonic() - t0))
-            budget = remaining if budget is None else min(remaining, budget)
-        return budget
+    def remaining() -> Optional[float]:
+        return None if deadline is None else deadline - time.monotonic()
+
+    master: Optional[MasterSolution] = None
+    added_total = 0
+    iteration = 0
+    best = -math.inf  # best Lagrangian value so far
+    lagrangians: list = []
+
+    def stop(status: str, bound: float) -> ColGenResult:
+        return ColGenResult(master, bound, status, iteration, added_total, lagrangians)
 
     try:
         ensure_seed_columns(pool, node, instance, limits.time_limit)
-    except PricingTimeoutError:
-        return ColGenResult(None, _bound_floor(instance, []), "timed_out", 0, 0)
-    added_total = 0
-    iteration = 0
-    lagrangians: list = []
-    while True:
-        iteration += 1
-        master, lp = solve_master(pool, node, instance)
-        duals = canonical_duals(
-            pool, node, instance, master.objective,
-            fallback=extract_duals(lp, instance),
-        )
-        decisions = node_decisions(node)
-        slot_use: dict[int, dict[int, float]] = {}  # client -> slot -> count
-        for client in instance.clients:
-            counts: dict[int, float] = {}
-            for _, col in pool.admissible(client.id, decisions):
-                for s in col.slots():
-                    counts[s] = counts.get(s, 0.0) + 1.0
-            slot_use[client.id] = counts
-        priced: list[tuple[ClientRequirement, Column, float, bool]] = []
-        for client in sorted(instance.clients, key=lambda c: c.id):
-            tie_break: dict[int, float] = {}
-            for other_id, counts in slot_use.items():
-                if other_id == client.id:
-                    continue
-                for s, cnt in counts.items():
-                    tie_break[s] = tie_break.get(s, 0.0) + cnt
-            try:
-                column, xi, proven = price_client(
-                    client, duals, f, node, time_limit=pricing_budget(),
-                    tie_break=tie_break,
-                )
-            except ClientInfeasibleError as exc:
-                raise NodeInfeasibleError(client.id) from exc
-            except PricingTimeoutError:
-                return ColGenResult(
-                    master,
-                    _bound_floor(instance, lagrangians),
-                    "timed_out",
-                    iteration,
-                    added_total,
-                    lagrangians,
-                )
-            priced.append((client, column, xi, proven))
-        if trace is not None:
-            trace.append(
-                (iteration, master.objective, {c.id: xi for c, _, xi, _ in priced})
+        while True:
+            master, lp = solve_master(pool, node, instance, remaining())
+            iteration += 1
+            duals = canonical_duals(
+                pool, node, instance, master.objective,
+                fallback=extract_duals(lp, instance), time_limit=remaining(),
             )
-        all_proven = all(proven for _, _, _, proven in priced)
-        negative = [(c, col, xi) for c, col, xi, _ in priced if xi < -REDUCED_COST_TOL]
-        if not negative:
-            if all_proven:
-                return ColGenResult(
-                    master, master.objective, "optimal", iteration, added_total,
-                    lagrangians,
+            decisions = node_decisions(node)
+            slot_use: dict[int, dict[int, float]] = {}  # client -> slot -> count
+            for client in instance.clients:
+                counts: dict[int, float] = {}
+                for _, col in pool.admissible(client.id, decisions):
+                    for s in col.slots():
+                        counts[s] = counts.get(s, 0.0) + 1.0
+                slot_use[client.id] = counts
+            priced: list[tuple[ClientRequirement, Column, float]] = []
+            for client in sorted(instance.clients, key=lambda c: c.id):
+                if deadline is not None and time.monotonic() >= deadline:
+                    return stop("timed_out", _bound_floor(instance, best))
+                tie_break: dict[int, float] = {}
+                for other_id, counts in slot_use.items():
+                    if other_id == client.id:
+                        continue
+                    for s, cnt in counts.items():
+                        tie_break[s] = tie_break.get(s, 0.0) + cnt
+                try:
+                    column, xi = price_client(
+                        client, duals, f, node, time_limit=remaining(),
+                        tie_break=tie_break,
+                    )
+                except ClientInfeasibleError as exc:
+                    raise NodeInfeasibleError(client.id) from exc
+                priced.append((client, column, xi))
+            if trace is not None:
+                trace.append(
+                    (iteration, master.objective, {c.id: xi for c, _, xi in priced})
                 )
-            # nothing negative, but some prices were cut short: the master
-            # value is not a proven bound here
-            return ColGenResult(
-                master,
-                _bound_floor(instance, lagrangians),
-                "timed_out",
-                iteration,
-                added_total,
-                lagrangians,
-            )
-        lagrangian = master.objective + sum(min(0.0, xi) for _, _, xi, _ in priced)
-        # the Lagrangian is a bound only when every price is proven
-        bound = lagrangian if all_proven else _bound_floor(instance, lagrangians)
-        if all_proven and iteration % n == 0:
-            lagrangians.append(lagrangian)
-            same_slots = _slots_of(lagrangian, f) == _slots_of(master.objective, f)
-            if lagrangian >= limits.upper_bound - 1e-9 or same_slots:
-                return ColGenResult(
-                    master, lagrangian, "lagrangian_stop", iteration, added_total,
-                    lagrangians,
-                )
-        if iteration >= limits.max_iterations:
-            lagrangians.append(bound)
-            return ColGenResult(
-                master, bound, "lagrangian_stop", iteration, added_total,
-                lagrangians,
-            )
-        added_now = 0
-        for _, column, _ in negative:
-            if pool.add(column):
-                added_now += 1
-        added_total += added_now
-        if added_now == 0:
-            # duplicate columns priced negative: numerical stall, bail out
-            return ColGenResult(
-                master, bound, "stalled", iteration, added_total, lagrangians
-            )
+            negative = [column for _, column, xi in priced if xi < -REDUCED_COST_TOL]
+            if not negative:
+                return stop("optimal", master.objective)
+            lagrangian = master.objective + sum(min(0.0, xi) for _, _, xi in priced)
+            best = max(best, lagrangian)
+            if iteration % n == 0:
+                lagrangians.append(lagrangian)
+                same_slots = _slots_of(best, f) == _slots_of(master.objective, f)
+                if best >= limits.upper_bound - 1e-9 or same_slots:
+                    return stop("lagrangian_stop", best)
+            if iteration >= limits.max_iterations:
+                lagrangians.append(lagrangian)
+                return stop("lagrangian_stop", best)
+            added_now = sum(pool.add(column) for column in negative)
+            added_total += added_now
+            if added_now == 0:
+                # duplicate columns priced negative: numerical stall, bail out
+                return stop("stalled", best)
+    except LpTimeoutError:
+        return stop("timed_out", _bound_floor(instance, best))

@@ -1,9 +1,11 @@
 """Generative heuristic and the continuous-allocation baseline.
 
-The heuristic iterates single-client sub-model solves with artificial
-slot prices: slots recently contested by other clients get expensive,
-slots a client already holds without conflict stay cheap, so clients
-gradually drift apart until the composite schedule is collision-free.
+The heuristic iterates single-client calls of the exact pricing oracle
+(``colgen.price_client``) with artificial slot prices: slots recently
+contested by other clients get expensive, slots a client already holds
+without conflict stay cheap, so clients gradually drift apart until the
+composite schedule is collision-free.  A seeded random tie-break picks
+among equally priced columns.
 """
 
 from __future__ import annotations
@@ -13,12 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .colgen import (
-    ClientInfeasibleError,
-    DualPrices,
-    PricingTimeoutError,
-    price_client,
-)
+from .colgen import ClientInfeasibleError, DualPrices, LpTimeoutError, price_client
 from .model import ProblemInstance, Schedule, slot_lower_bound
 from .verify import schedule_feasible
 
@@ -30,7 +27,6 @@ NO_FEASIBLE = "no_feasible"
 class HeuristicConfig:
     alpha: float = 0.1
     max_iterations: int = 250
-    sub_model_gap: float = 0.05
     seed: int = 0
     time_limit: Optional[float] = None
 
@@ -65,7 +61,7 @@ def compute_coefficients(
     frame_size: int,
     rng: random.Random,
 ) -> dict[int, float]:
-    """Per-slot prices for the next sub-model run; all values in [0.9, 2.5]."""
+    """Per-slot prices for the next pricing run; all values in [0.9, 2.5]."""
     coeffs: dict[int, float] = {}
     for j in range(1, frame_size + 1):
         self_holds = current.get(client_id, ())
@@ -94,7 +90,7 @@ def _collision_free(masks: dict[int, tuple[int, ...]], frame_size: int) -> bool:
 def generative(
     instance: ProblemInstance, config: Optional[HeuristicConfig] = None
 ) -> tuple[Optional[Schedule], str]:
-    """Round-robin sub-model runs until the composite schedule is collision-free."""
+    """Round-robin pricing runs until the composite schedule is collision-free."""
     config = config or HeuristicConfig()
     rng = random.Random(config.seed)
     f = instance.frame_size
@@ -112,15 +108,16 @@ def generative(
             if budget <= 0:
                 return None, NO_FEASIBLE
         client = clients[iteration % n]
+        tie_break = {j: rng.random() for j in range(1, f + 1)}
         coeffs = compute_coefficients(
             client.id, config.alpha, history, masks, f, rng
         )
         duals = DualPrices(lam=coeffs, sigma={})
         try:
-            column, _, _ = price_client(
-                client, duals, f, gap=config.sub_model_gap, time_limit=budget
+            column, _ = price_client(
+                client, duals, f, time_limit=budget, tie_break=tie_break
             )
-        except (ClientInfeasibleError, PricingTimeoutError):
+        except (ClientInfeasibleError, LpTimeoutError):
             return None, NO_FEASIBLE
         masks[client.id] = column.mask
         history.record(masks)

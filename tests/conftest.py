@@ -1,14 +1,16 @@
-"""Shared fixtures: the worked 2-client example, random instances and the
-slow cyclic service-curve oracle."""
+"""Shared fixtures: the worked 2-client example, random instances, the
+slow cyclic service-curve oracle and an exhaustive pricing oracle."""
 
+import math
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
 import pytest
 
 from tdmcfg.colgen import Column
-from tdmcfg.model import ClientRequirement, ProblemInstance
+from tdmcfg.model import ClientRequirement, ProblemInstance, late_windows
 
 
 @pytest.fixture
@@ -99,3 +101,29 @@ class ServiceCurve:
                 if self.value(k, j) < rate * (j - theta):
                     return (k, j)
         return None
+
+
+def brute_force_price(
+    client: ClientRequirement,
+    lam: dict,
+    frame_size: int,
+    decisions: Sequence[tuple] = (),
+) -> Optional[float]:
+    """Least sum(lam over held slots) + slots / f over every mask that meets
+    the client's rate and latency and the (client, slot, allocate)
+    decisions, by exhaustive search; None when no mask does."""
+    f = frame_size
+    masks = (np.arange(1 << f)[:, None] >> np.arange(f)) & 1
+    for client_id, slot, allocate in decisions:
+        if client_id == client.id:
+            masks = masks[masks[:, slot - 1] == allocate]
+        elif allocate:
+            masks = masks[masks[:, slot - 1] == 0]
+    masks = masks[masks.sum(axis=1) >= math.ceil(client.required_rate * f)]
+    if client.required_rate > 0:
+        late = late_windows(masks, client.effective_latency(f))
+        masks = masks[~late.any(axis=(1, 2))]
+    if len(masks) == 0:
+        return None
+    cost = np.array([lam.get(j, 0.0) for j in range(1, f + 1)]) + 1.0 / f
+    return float((masks @ cost).min())

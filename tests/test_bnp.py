@@ -115,7 +115,7 @@ def test_solve_bnp_seed_pricing_obeys_time_limit():
         assert schedule_feasible(schedule, instance).feasible
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("seed", [10, 1])
 def test_solve_bnp_root_completion_lp_obeys_time_limit(seed):
     # the heuristic fails here and the root ILP completion starts one HiGHS
     # LP of about 31 000 rows that takes longer than the whole limit
@@ -128,22 +128,73 @@ def test_solve_bnp_root_completion_lp_obeys_time_limit(seed):
         assert schedule_feasible(schedule, instance).feasible
 
 
-def test_integral_master_failing_verification_raises(monkeypatch):
-    # an LD instance whose search reaches an integral, conflict-free master
-    rates = ("0.100594", "0.10068", "0.09812", "0.055838")
-    latencies = (
-        "250000000000/58649772493", "6250000000/1427770767",
-        "25000000000/6939833813", "500000000000/91886817367",
+# MD seed 0: heuristic runs 0-3 stop at 58 slots and the tree does not
+# close 58 against the bound of 57 within a minute; the warm start's third
+# of a 10 s limit reaches run 4, which finds 57 (5 s does so only on an
+# idle machine)
+@pytest.mark.parametrize("klass, seed, optimum, limit", [
+    ("MD", 0, Fraction(57, 64), 10),
+    ("BD", 2, Fraction(1), 5),
+], ids=["MD8-s0", "BD8-s2"])
+def test_solve_bnp_proves_optimum_within_time_limit(klass, seed, optimum, limit):
+    instance = generate(GenSpec.default(klass, 8, seed=seed))
+    t0 = time.monotonic()
+    schedule, status, objective, bound, _ = solve_bnp(instance, BnpConfig(time_limit=limit))
+    assert time.monotonic() - t0 < limit + 0.75
+    assert status == MipStatus.OPTIMAL
+    assert objective == optimum
+    assert bound == pytest.approx(float(optimum))
+    assert schedule_feasible(schedule, instance).feasible
+
+
+def _tree_search_only(monkeypatch) -> BnpConfig:
+    """No heuristic incumbent and no ILP completion: the tree alone decides."""
+    monkeypatch.setattr(
+        bnp, "complete_with_ilp", lambda node, instance, time_limit=None: (
+            None, None, MipStatus.TIMED_OUT
+        )
     )
-    instance = ProblemInstance(12, tuple(
-        ClientRequirement(i, f"c{i}", Fraction(rate), Fraction(latency))
-        for i, (rate, latency) in enumerate(zip(rates, latencies), start=1)
+    return BnpConfig(
+        seed=0, heuristic_runs=0,
+        completion_positive_pct=2.0, completion_negative_pct=100.0,
+    )
+
+
+def test_solve_bnp_prunes_infeasible_nodes_without_incumbent(monkeypatch):
+    config = _tree_search_only(monkeypatch)
+    # latency 1 at the rate of its own slots takes 6 of the 7 slots for
+    # c2, leaving 1 for c1, which needs 3; the slot bounds (3 + 4) do not
+    # show it
+    instance = ProblemInstance(7, (
+        ClientRequirement(1, "c1", Fraction(3, 7), None),
+        ClientRequirement(2, "c2", Fraction(2, 7), Fraction(1)),
     ))
+    assert brute_force_optimum(instance) == (None, None)
+    schedule, status, _, bound, stats = solve_bnp(instance, config)
+    assert status == MipStatus.INFEASIBLE and schedule is None
+    assert math.isinf(bound)
+    # the root bound needs more than f slots: pruned, never branched on
+    assert (stats.nodes_opened, stats.nodes_pruned) == (1, 1)
+    rng = random.Random(5)
+    for _ in range(12):
+        instance = random_instance(rng, max_frame=8)
+        _, bf_obj = brute_force_optimum(instance)
+        _, status, objective, _, _ = solve_bnp(instance, config)
+        if bf_obj is None:
+            assert status == MipStatus.INFEASIBLE, instance
+        else:
+            assert (status, objective) == (MipStatus.OPTIMAL, bf_obj), instance
+
+
+def test_integral_master_failing_verification_raises(golden_instance, monkeypatch):
+    # with no incumbent, the root master of the worked example is integral
+    # and conflict-free
+    config = _tree_search_only(monkeypatch)
     monkeypatch.setattr(
         bnp, "schedule_feasible", lambda schedule, inst: SimpleNamespace(feasible=False)
     )
     with pytest.raises(RuntimeError, match="integral master at node"):
-        solve_bnp(instance, BnpConfig(seed=0))
+        solve_bnp(golden_instance, config)
 
 
 def test_solve_bnp_stats_are_populated(golden_instance):

@@ -1,9 +1,11 @@
 """Column generation: master, duals, pricing, node admissibility."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from tdmcfg import colgen
 from tdmcfg.bnp import BnpNode
 from tdmcfg.colgen import (
     ClientInfeasibleError,
@@ -22,7 +24,9 @@ from tdmcfg.colgen import (
     zero_duals,
 )
 from tdmcfg.ilp import find_latency_violation
-from tdmcfg.model import ClientRequirement, ProblemInstance
+from tdmcfg.model import ClientRequirement, ProblemInstance, latency_witness
+
+from conftest import brute_force_price
 
 
 def _integral_pair_slots(pool: ColumnPool) -> int:
@@ -110,9 +114,8 @@ def test_iteration_one_reduced_costs(golden_instance, golden_seed_columns):
         pool, None, golden_instance, master.objective,
         fallback=extract_duals(lp, golden_instance),
     )
-    _, xi1, proven1 = price_client(golden_instance.client(1), duals, 10)
-    _, xi2, proven2 = price_client(golden_instance.client(2), duals, 10)
-    assert proven1 and proven2
+    _, xi1 = price_client(golden_instance.client(1), duals, 10)
+    _, xi2 = price_client(golden_instance.client(2), duals, 10)
     assert xi1 == pytest.approx(0.0, abs=1e-6)
     assert xi2 == pytest.approx(-0.1, abs=1e-6)
 
@@ -120,8 +123,7 @@ def test_iteration_one_reduced_costs(golden_instance, golden_seed_columns):
 def test_priced_columns_meet_requirements(golden_instance):
     duals = zero_duals(golden_instance)
     for client in golden_instance.clients:
-        column, xi, proven = price_client(client, duals, 10)
-        assert proven
+        column, _ = price_client(client, duals, 10)
         assert column.slot_count >= 1
         assert find_latency_violation(list(column.mask), client, 10) is None
 
@@ -130,7 +132,7 @@ def test_pricing_respects_node_decisions(golden_instance):
     client = golden_instance.client(2)
     duals = zero_duals(golden_instance)
     node = BnpNode(((2, 1, False), (2, 2, False)))
-    column, _, _ = price_client(client, duals, 10, node)
+    column, _ = price_client(client, duals, 10, node)
     assert column.mask[0] == 0 and column.mask[1] == 0
 
 
@@ -143,9 +145,60 @@ def test_pricing_raises_on_impossible_fixings():
         price_client(req, zero_duals(inst), 10, node)
 
 
+def test_price_client_matches_brute_force():
+    rng = random.Random(2024)
+    infeasible = 0
+    for case in range(320):
+        f = rng.randint(3, 11)
+        kind = case % 4
+        if kind == 0:  # rate only
+            rate, latency = Fraction(rng.randint(1, f), f), None
+        elif kind == 1:  # rate 0: needs no service at all
+            rate, latency = Fraction(0), Fraction(rng.randint(0, 2 * f), 2)
+        else:  # fractional latency
+            rate = Fraction(rng.randint(1, f), rng.choice([f, 2 * f, 3 * f]))
+            latency = Fraction(rng.randint(0, 3 * f), rng.choice([1, 2, 3, 7]))
+        client = ClientRequirement(1, "c", rate, latency)
+        lam = {j: rng.choice([0.0, 0.0, rng.random()]) for j in range(1, f + 1)}
+        decisions = []
+        for slot in range(1, f + 1):
+            u = rng.random()
+            if u < 0.1:
+                decisions.append((1, slot, True))
+            elif u < 0.2:
+                decisions.append((1, slot, False))
+            elif u < 0.25:
+                decisions.append((2, slot, True))  # held by another client
+        tie_break = {j: rng.random() for j in range(1, f + 1)} if case % 3 == 0 else None
+        duals = DualPrices(lam, {1: 0.25})
+        best = brute_force_price(client, lam, f, decisions)
+        node = BnpNode(tuple(decisions))
+        if best is None:
+            infeasible += 1
+            with pytest.raises(ClientInfeasibleError):
+                price_client(client, duals, f, node, tie_break=tie_break)
+            continue
+        column, xi = price_client(client, duals, f, node, tie_break=tie_break)
+        assert xi == pytest.approx(best - 0.25, abs=1e-6), (case, client, decisions)
+        assert column.slot_count >= rate * f
+        if rate > 0:
+            assert latency_witness(column.mask, client.effective_latency(f)) is None
+        assert column_admissible(column, decisions)
+    assert 20 <= infeasible <= 200
+
+
 def test_column_generation_reaches_integral_optimum(
-    golden_instance, golden_seed_columns
+    golden_instance, golden_seed_columns, monkeypatch
 ):
+    priced = []
+
+    def recording_price_client(client, duals, frame_size, node=None, **kwargs):
+        column, xi = price_client(client, duals, frame_size, node, **kwargs)
+        best = brute_force_price(client, duals.lam, frame_size)
+        priced.append((xi, best - duals.sigma.get(client.id, 0.0)))
+        return column, xi
+
+    monkeypatch.setattr(colgen, "price_client", recording_price_client)
     pool = seeded_pool(golden_seed_columns)
     trace = []
     res = column_generation(pool, None, golden_instance, ColGenLimits(), trace)
@@ -153,13 +206,17 @@ def test_column_generation_reaches_integral_optimum(
     assert res.lower_bound == pytest.approx(0.8, abs=1e-9)
     # the pool holds a conflict-free integral pair achieving the optimum
     assert _integral_pair_slots(pool) == 8
-    # distinct master values pass through the documented intermediate
-    values = []
-    for _, objective, _ in trace:
-        value = Fraction(objective).limit_denominator(100)
-        if not values or values[-1] != value:
-            values.append(value)
-    assert values == [Fraction(9, 10), Fraction(17, 20), Fraction(4, 5)]
+    # every priced column has the least reduced cost of any feasible mask
+    assert len(priced) == 2 * len(trace)
+    for xi, best in priced:
+        assert xi == pytest.approx(best, abs=1e-9)
+    # master values descend from the seed value to the optimum (9/10, 9/10,
+    # 4/5 today; which of several equally priced columns enters decides
+    # whether 17/20 shows in between)
+    values = [Fraction(objective).limit_denominator(100) for _, objective, _ in trace]
+    assert values[0] == Fraction(9, 10) and values[-1] == Fraction(4, 5)
+    assert values == sorted(values, reverse=True)
+    assert len(trace) <= 4
     # one reduced cost per client and iteration, numbered from 1
     assert [it for it, _, _ in trace] == list(range(1, len(trace) + 1))
     assert all(set(xi) == {1, 2} for _, _, xi in trace)
