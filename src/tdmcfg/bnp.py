@@ -215,7 +215,7 @@ def _warm_start(
     time_limit: Optional[float] = None,
 ):
     """Run the generative heuristic for the incumbent and seed columns."""
-    from .heuristics import FEASIBLE, HeuristicConfig, generative
+    from .heuristics import allocated_slots, best_of_runs
 
     runs = config.heuristic_runs
     if runs is None:
@@ -225,29 +225,13 @@ def _warm_start(
             for c in instance.clients
         )
         runs = 1 if all_bd else 8
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    best: Optional[Schedule] = None
-    best_phi: Optional[Fraction] = None
-    for k in range(runs):
-        budget = None
-        if deadline is not None:
-            budget = deadline - time.monotonic()
-            if budget <= 0:
-                break
-        schedule, status = generative(
-            instance, HeuristicConfig(seed=config.seed + k, time_limit=budget)
-        )
-        if status != FEASIBLE:
-            continue
-        phi = Fraction(
-            sum(schedule.alloc_count(c.id) for c in instance.clients),
-            instance.frame_size,
-        )
+    best, found = best_of_runs(instance, runs, config.seed, time_limit)
+    for schedule in found:
         for client in instance.clients:
             pool.add(Column(client.id, schedule.mask(client.id)))
-        if best_phi is None or phi < best_phi:
-            best, best_phi = schedule, phi
-    return best, best_phi
+    if best is None:
+        return None, None
+    return best, Fraction(allocated_slots(best), instance.frame_size)
 
 
 def solve_bnp(

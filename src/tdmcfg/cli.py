@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import serialize
 from .bnp import BnpConfig, solve_bnp
-from .heuristics import FEASIBLE, HeuristicConfig, continuous_allocation, generative
+from .heuristics import best_of_runs, continuous_allocation
 from .ilp import solve_direct
 from .mip import MipStatus
 from .model import ProblemInstance, Schedule, allocated_rate, service_latency
@@ -71,16 +71,7 @@ def run_method(
         schedule, status, objective, bound, stats = solve_bnp(instance, config)
         return schedule, _STATUS_TEXT[status], objective, bound, stats.as_dict()
     if method == "heuristic":
-        best: Optional[Schedule] = None
-        runs = heuristic_runs or 1
-        for k in range(runs):
-            schedule, status = generative(
-                instance, HeuristicConfig(seed=seed + k)
-            )
-            if schedule is None:
-                continue
-            if best is None or _phi(schedule, instance) < _phi(best, instance):
-                best = schedule
+        best, _ = best_of_runs(instance, heuristic_runs or 1, seed, time_limit)
         if best is None:
             return None, "no_feasible", None, -math.inf, {}
         return best, "feasible", _phi(best, instance), -math.inf, {}

@@ -16,6 +16,7 @@ columns.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -221,8 +222,9 @@ def solve_direct(
     """Solve an instance with the monolithic ILP.
 
     Returns (schedule or None, MipStatus, objective Fraction or None,
-    best_bound float).
+    best_bound float).  ``time_limit`` covers the model build too.
     """
+    t0 = time.monotonic()
     f = instance.frame_size
     total_lb = sum(slot_lower_bound(c, f) for c in instance.clients)
     if total_lb > f:
@@ -231,7 +233,7 @@ def solve_direct(
     res = solve_mip(
         model,
         lazy=latency_lazy_callback(instance),
-        time_limit=time_limit,
+        time_limit=None if time_limit is None else time_limit - (time.monotonic() - t0),
         optimality_gap=optimality_gap,
         bound_grid=1.0 / f,
     )

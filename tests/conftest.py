@@ -1,9 +1,11 @@
 """Shared fixtures: the worked 2-client example, random instances, the
-slow cyclic service-curve oracle and an exhaustive pricing oracle."""
+slow cyclic service-curve oracle, an exhaustive pricing oracle and the
+loop-based heuristic slot prices."""
 
 import math
 import random
 from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -127,3 +129,56 @@ def brute_force_price(
         return None
     cost = np.array([lam.get(j, 0.0) for j in range(1, f + 1)]) + 1.0 / f
     return float((masks @ cost).min())
+
+
+@dataclass
+class AllocationHistory:
+    """How often each slot was held by each client in previous iterations.
+
+    With ``compute_coefficients``, a slow, dict-based reference for
+    ``tdmcfg.heuristics.slot_prices``.
+    """
+
+    held: dict[tuple[int, int], int] = field(default_factory=dict)  # (slot, client)
+
+    def record(self, masks: dict[int, tuple[int, ...]]) -> None:
+        for client_id, mask in masks.items():
+            for j, bit in enumerate(mask, start=1):
+                if bit:
+                    key = (j, client_id)
+                    self.held[key] = self.held.get(key, 0) + 1
+
+    def d(self, slot: int, client_id: int) -> int:
+        """Times the slot was allocated to any client other than this one."""
+        return sum(
+            count
+            for (j, c), count in self.held.items()
+            if j == slot and c != client_id
+        )
+
+
+def compute_coefficients(
+    client_id: int,
+    alpha: float,
+    history: AllocationHistory,
+    current: dict[int, tuple[int, ...]],
+    frame_size: int,
+    rng: random.Random,
+) -> dict[int, float]:
+    """Per-slot prices for the next pricing run; all values in [0.9, 2.5]."""
+    coeffs: dict[int, float] = {}
+    for j in range(1, frame_size + 1):
+        self_holds = current.get(client_id, ())
+        mine = bool(self_holds) and self_holds[j - 1] == 1
+        others = any(
+            mask[j - 1] == 1 for c, mask in current.items() if c != client_id
+        )
+        if others and not mine:
+            coeffs[j] = min(2.0, 1.0 + history.d(j, client_id) * alpha)
+        elif mine and not others:
+            coeffs[j] = 0.9  # keep conflict-free slots where they are
+        elif mine and others:
+            coeffs[j] = 1.0 + rng.random() * 1.5
+        else:
+            coeffs[j] = 1.0
+    return coeffs

@@ -4,11 +4,13 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from tdmcfg import bnp
+import tdmcfg
+from tdmcfg import bnp, heuristics
 from tdmcfg.bnp import (
     BnpConfig,
     BnpNode,
@@ -20,6 +22,7 @@ from tdmcfg.bnp import (
 )
 from tdmcfg.mip import MipStatus
 from tdmcfg.model import ClientRequirement, ProblemInstance
+from tdmcfg.serialize import load_instance
 from tdmcfg.usecase import GenSpec, generate
 from tdmcfg.verify import brute_force_optimum, schedule_feasible
 
@@ -101,6 +104,21 @@ def test_solve_bnp_time_limit_returns_promptly(golden_instance):
         MipStatus.FEASIBLE,
         MipStatus.TIMED_OUT,
     )
+
+
+def test_warm_start_stops_at_slot_bound_sum(monkeypatch):
+    # the first heuristic run on the case study already allocates the sum
+    # of the slot lower bounds (59 of 64), so no later run can do better
+    instance = load_instance(Path(tdmcfg.__file__).parent / "data" / "hd-video.json")
+    runs = []
+    generative = heuristics.generative
+    monkeypatch.setattr(
+        heuristics, "generative", lambda *a, **k: runs.append(1) or generative(*a, **k)
+    )
+    schedule, status, objective, _, _ = solve_bnp(instance, BnpConfig(seed=0))
+    assert len(runs) == 1
+    assert (status, objective) == (MipStatus.OPTIMAL, Fraction(59, 64))
+    assert schedule_feasible(schedule, instance).feasible
 
 
 def test_solve_bnp_seed_pricing_obeys_time_limit():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from tdmcfg import heuristics
 from tdmcfg.cli import main
 from tdmcfg.model import Schedule
 from tdmcfg.serialize import save_instance, save_schedule
@@ -38,6 +39,23 @@ def test_solve_ilp_stdout(capsys, golden_path):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["objective"] == "0.8"
+
+
+def test_solve_heuristic_passes_time_limit(monkeypatch, capsys, golden_path):
+    limits = []
+    generative = heuristics.generative
+
+    def recording(instance, config):
+        limits.append(config.time_limit)
+        return generative(instance, config)
+
+    monkeypatch.setattr(heuristics, "generative", recording)
+    code = main(
+        ["solve", str(golden_path), "--method", "heuristic", "--time-limit", "30"]
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "feasible"
+    assert limits and all(limit is not None and 0 < limit <= 30 for limit in limits)
 
 
 def test_solve_infeasible_exit_code(tmp_path):

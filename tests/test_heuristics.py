@@ -2,45 +2,91 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
+import pytest
+from conftest import AllocationHistory, compute_coefficients
+
+from tdmcfg import heuristics
 from tdmcfg.heuristics import (
     FEASIBLE,
     NO_FEASIBLE,
-    AllocationHistory,
     HeuristicConfig,
-    compute_coefficients,
+    allocated_slots,
     continuous_allocation,
     generative,
+    slot_prices,
 )
 from tdmcfg.model import ClientRequirement, ProblemInstance
+from tdmcfg.serialize import load_instance
 from tdmcfg.verify import schedule_feasible
 
 
 def test_allocation_history_counts_other_clients():
-    history = AllocationHistory()
-    history.record({1: (1, 0, 0, 0), 2: (0, 1, 0, 0)})
-    history.record({1: (1, 0, 0, 0), 2: (0, 0, 1, 0)})
-    assert history.d(1, 2) == 2  # client 1 held slot 1 twice
-    assert history.d(2, 1) == 1
-    assert history.d(4, 1) == 0
+    # rows are clients 1 and 2; the loop adds every current mask each iteration
+    held = np.zeros((2, 4), dtype=np.int64)
+    held += np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
+    held += np.array([[1, 0, 0, 0], [0, 0, 1, 0]])
+    # a slot held only by others costs 1 + alpha * (times others held it)
+    current = np.array([[1, 1, 0, 0], [0, 1, 0, 1]])
+    client2 = slot_prices(1, 0.25, held, current, random.Random(0))
+    assert client2[0] == 1.0 + 2 * 0.25  # client 1 held slot 1 twice
+    current = np.array([[0, 0, 0, 0], [0, 1, 0, 1]])
+    client1 = slot_prices(0, 0.25, held, current, random.Random(0))
+    assert client1[1] == 1.0 + 1 * 0.25
+    assert client1[3] == 1.0 + 0 * 0.25
 
 
 def test_compute_coefficients_cases():
     rng = random.Random(0)
-    history = AllocationHistory()
-    history.record({1: (1, 0, 0, 0), 2: (0, 1, 0, 0)})
-    masks = {1: (1, 0, 0, 0), 2: (1, 1, 0, 0)}  # both now claim slot 1
-    coeffs = compute_coefficients(1, 0.1, history, masks, 4, rng)
+    held = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
+    current = np.array([[1, 0, 0, 0], [1, 1, 0, 0]])  # both now claim slot 1
+    coeffs = slot_prices(0, 0.1, held, current, rng)
     # slot 2: held by client 2 alone -> expensive, capped at 2
-    assert 1.0 < coeffs[2] <= 2.0
+    assert 1.0 < coeffs[1] <= 2.0
     # slot 1: conflicted self-held slot -> random surcharge in [1, 2.5)
-    assert 1.0 <= coeffs[1] < 2.5
+    assert 1.0 <= coeffs[0] < 2.5
     # slot 3, 4: free
-    assert coeffs[3] == 1.0 and coeffs[4] == 1.0
+    assert coeffs[2] == 1.0 and coeffs[3] == 1.0
     # self-held without conflict is discounted
-    masks2 = {1: (1, 0, 0, 0), 2: (0, 1, 0, 0)}
-    coeffs2 = compute_coefficients(1, 0.1, history, masks2, 4, rng)
-    assert coeffs2[1] == 0.9
+    current2 = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
+    coeffs2 = slot_prices(0, 0.1, held, current2, rng)
+    assert coeffs2[0] == 0.9
+
+
+def test_slot_prices_match_loop_oracle():
+    """Array prices equal the dict-based loop and draw the same rng stream."""
+    gen = random.Random(7)
+    for _ in range(300):
+        n = gen.randint(1, 5)
+        f = gen.randint(1, 20)
+        ids = sorted(gen.sample(range(1, 50), n))
+        current = np.array(
+            [[int(gen.random() < 0.4) for _ in range(f)] for _ in range(n)],
+            dtype=np.int64,
+        )
+        held = np.array(
+            [[gen.randint(0, 30) for _ in range(f)] for _ in range(n)],
+            dtype=np.int64,
+        )
+        history = AllocationHistory(
+            {
+                (j + 1, ids[p]): int(held[p, j])
+                for p in range(n)
+                for j in range(f)
+                if held[p, j]
+            }
+        )
+        masks = {ids[p]: tuple(int(b) for b in current[p]) for p in range(n)}
+        alpha = gen.choice([0.1, 0.05, 0.3])
+        position = gen.randrange(n)
+        seed = gen.randrange(1 << 30)
+        rng_array, rng_loop = random.Random(seed), random.Random(seed)
+        prices = slot_prices(position, alpha, held, current, rng_array)
+        coeffs = compute_coefficients(ids[position], alpha, history, masks, f, rng_loop)
+        assert prices.tolist() == [coeffs[j] for j in range(1, f + 1)]
+        assert rng_array.random() == rng_loop.random()
 
 
 def test_generative_finds_verified_schedule(golden_instance):
@@ -70,6 +116,28 @@ def test_generative_time_limit_zero_budget(golden_instance):
         golden_instance, HeuristicConfig(seed=0, time_limit=0.0)
     )
     assert status == NO_FEASIBLE and schedule is None
+
+
+LD4_S19 = Path(__file__).resolve().parents[1] / "perfbench/corpus/bnp-tree/ld4-s19.json"
+
+
+@pytest.mark.parametrize("seed, slots", [(0, None), (1, 12), (5, 12)])
+def test_generative_ends_trapped_runs(monkeypatch, seed, slots):
+    # seed 0 keeps every mask unchanged from iteration 8 on: c2 and
+    # c3 share slot 10 and every move costs more than the surcharge
+    instance = load_instance(LD4_S19)
+    calls = []
+    price = heuristics.price_client
+    monkeypatch.setattr(
+        heuristics, "price_client", lambda *a, **k: calls.append(1) or price(*a, **k)
+    )
+    schedule, status = generative(instance, HeuristicConfig(seed=seed))
+    if slots is None:
+        assert (schedule, status) == (None, NO_FEASIBLE)
+        assert len(calls) < HeuristicConfig().max_iterations
+    else:
+        assert status == FEASIBLE and allocated_slots(schedule) == slots
+        assert schedule_feasible(schedule, instance).feasible
 
 
 def test_continuous_allocation_easy_rate_only_instance():

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from tdmcfg import ilp
 from tdmcfg.ilp import (
     FixingConflictError,
     IlpBuildOptions,
@@ -124,6 +126,20 @@ def test_solve_direct_golden_instance(golden_instance):
     assert status == MipStatus.OPTIMAL
     assert objective == Fraction(4, 5)
     assert schedule_feasible(schedule, golden_instance).feasible
+
+
+def test_solve_direct_counts_model_build_against_time_limit(
+    golden_instance, monkeypatch
+):
+    def slow_build(instance, opts=None):
+        time.sleep(0.3)
+        return build_ilp(instance, opts)
+
+    monkeypatch.setattr(ilp, "build_ilp", slow_build)
+    schedule, status, objective, _ = solve_direct(golden_instance, time_limit=0.2)
+    assert (schedule, status, objective) == (None, MipStatus.TIMED_OUT, None)
+    _, status, objective, _ = solve_direct(golden_instance, time_limit=30)
+    assert (status, objective) == (MipStatus.OPTIMAL, Fraction(4, 5))
 
 
 def test_solve_direct_detects_infeasible_by_capacity():
