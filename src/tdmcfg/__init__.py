@@ -3,7 +3,6 @@
 from .model import (
     ClientRequirement,
     Column,
-    LrCharacterization,
     ProblemInstance,
     Schedule,
 )
@@ -11,7 +10,6 @@ from .model import (
 __all__ = [
     "ClientRequirement",
     "Column",
-    "LrCharacterization",
     "ProblemInstance",
     "Schedule",
 ]

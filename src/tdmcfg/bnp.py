@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .colgen import (
     ColGenLimits,
     ColumnPool,
@@ -21,13 +23,14 @@ from .colgen import (
     NodeInfeasibleError,
     column_generation,
 )
-from .ilp import IlpBuildOptions, solve_direct
+from .ilp import solve_direct
 from .mip import MipStatus
 from .model import (
     DominanceClass,
     ProblemInstance,
     Schedule,
     dominance_class,
+    mask_bounds,
     slot_lower_bound,
 )
 from .verify import schedule_feasible
@@ -121,16 +124,10 @@ def _theta_order(instance: ProblemInstance):
     return sorted(instance.clients, key=lambda c: (c.effective_latency(f), c.id))
 
 
-def _decided_pairs(
-    node: BnpNode,
-) -> tuple[dict[tuple[int, int], bool], dict[int, int]]:
-    decided: dict[tuple[int, int], bool] = {}
-    slot_owner: dict[int, int] = {}
-    for client_id, slot, allocate in node.decisions:
-        decided[(client_id, slot)] = allocate
-        if allocate:
-            slot_owner[slot] = client_id
-    return decided, slot_owner
+def _free_slots(node: BnpNode, client_id: int, frame_size: int) -> list[int]:
+    """1-based slots still undecided for the client at the node."""
+    lower, upper = mask_bounds(client_id, frame_size, node.decisions)
+    return (np.flatnonzero(lower < upper) + 1).tolist()
 
 
 def branch_sequential(
@@ -141,16 +138,12 @@ def branch_sequential(
     Returns (forbid_child, allocate_child); the Forbid child is meant to
     be explored first.
     """
-    decided, slot_owner = _decided_pairs(node)
     for client in _theta_order(instance):
-        for slot in range(1, instance.frame_size + 1):
-            if (client.id, slot) in decided:
-                continue
-            if slot_owner.get(slot, client.id) != client.id:
-                continue  # implicitly forbidden: slot belongs to someone else
+        free = _free_slots(node, client.id, instance.frame_size)
+        if free:
             return (
-                node.child(client.id, slot, False),
-                node.child(client.id, slot, True),
+                node.child(client.id, free[0], False),
+                node.child(client.id, free[0], True),
             )
     raise NoBranchError
 
@@ -167,7 +160,6 @@ def branch_max_probability(
     columns covering it.  Returns (allocate_child, forbid_child); the
     Allocate child is meant to be explored first.
     """
-    decided, slot_owner = _decided_pairs(node)
     for client in _theta_order(instance):
         cols = pool.columns(client.id)
         totals: dict[int, float] = {}
@@ -178,11 +170,7 @@ def branch_max_probability(
             for s in col.slots():
                 totals[s] = totals.get(s, 0.0) + w
         best_slot, best_p = None, 0.0
-        for slot in range(1, instance.frame_size + 1):
-            if (client.id, slot) in decided:
-                continue
-            if slot_owner.get(slot, client.id) != client.id:
-                continue
+        for slot in _free_slots(node, client.id, instance.frame_size):
             p = totals.get(slot, 0.0)
             if p > best_p + 1e-12:  # strictly greater keeps the leftmost tie
                 best_slot, best_p = slot, p
@@ -201,9 +189,8 @@ def complete_with_ilp(
     time_limit: Optional[float] = None,
 ) -> tuple[Optional[Schedule], Optional[Fraction], MipStatus]:
     """Close a node by solving the monolithic ILP under its decisions."""
-    opts = IlpBuildOptions(partial_fixings=frozenset(node.decisions))
     schedule, status, objective, _ = solve_direct(
-        instance, opts, time_limit=time_limit
+        instance, node.decisions, time_limit=time_limit
     )
     return schedule, objective, status
 

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from .mip import LinearModel, LpSolution, LpStatus, solve_lp, stack_rows
-from .model import ClientRequirement, Column, ProblemInstance, slot_lower_bound
+from .model import ClientRequirement, Column, ProblemInstance, mask_bounds, slot_lower_bound
 from .verify import client_feasible
 
 M_PRIME = 10.0
@@ -64,18 +64,6 @@ def node_decisions(node) -> tuple:
     return tuple(node.decisions)
 
 
-def column_admissible(column: Column, decisions: Sequence[tuple]) -> bool:
-    """Whether a column is consistent with forced/forbidden slot decisions."""
-    for client_id, slot, allocate in decisions:
-        covered = column.mask[slot - 1] == 1
-        if client_id == column.client:
-            if covered != allocate:
-                return False
-        elif allocate and covered:
-            return False
-    return True
-
-
 class ColumnPool:
     """Per-client column lists with global (client, mask) deduplication."""
 
@@ -101,17 +89,20 @@ class ColumnPool:
         return len(self._seen)
 
     def admissible(self, client_id: int, decisions: Sequence[tuple]) -> list[tuple[int, Column]]:
-        return [
-            (k, col)
-            for k, col in enumerate(self._columns.get(client_id, []))
-            if column_admissible(col, decisions)
-        ]
+        """(pool index, column) of the client's columns that obey the decisions."""
+        columns = self._columns.get(client_id, [])
+        if not columns:
+            return []
+        masks = np.array([col.mask for col in columns])
+        lower, upper = mask_bounds(client_id, masks.shape[1], decisions)
+        keep = ((lower <= masks) & (masks <= upper)).all(axis=1)
+        return [(k, columns[k]) for k in np.flatnonzero(keep).tolist()]
 
 
 @dataclass
 class DualPrices:
-    lam: dict[int, float]
-    sigma: dict[int, float]
+    lam: np.ndarray  # price of slot s at index s - 1
+    sigma: dict[int, float]  # by client id
 
 
 @dataclass
@@ -195,10 +186,9 @@ def extract_duals(lp: LpSolution, instance: ProblemInstance) -> DualPrices:
     if lp.status != LpStatus.OPTIMAL:
         raise ValueError("duals only available for an optimal LP")
     f = instance.frame_size
-    duals = lp.duals.tolist()
     # clip numerical noise below zero
-    lam = {j: max(0.0, -d) for j, d in enumerate(duals[:f], start=1)}
-    sigma = {c.id: -d for c, d in zip(instance.clients, duals[f:])}
+    lam = np.maximum(0.0, -lp.duals[:f])
+    sigma = {c.id: -d for c, d in zip(instance.clients, lp.duals[f:].tolist())}
     return DualPrices(lam, sigma)
 
 
@@ -248,9 +238,8 @@ def canonical_duals(
         if fallback is not None:
             return fallback
         raise RuntimeError("dual-selection LP failed")
-    values = lp.x.tolist()
-    lam = {j: max(0.0, v) for j, v in enumerate(values[:f], start=1)}
-    sigma = {c.id: v for c, v in zip(instance.clients, values[f:])}
+    lam = np.maximum(0.0, lp.x[:f])
+    sigma = {c.id: v for c, v in zip(instance.clients, lp.x[f:].tolist())}
     return DualPrices(lam, sigma)
 
 
@@ -322,7 +311,7 @@ def price_client(
     frame_size: int,
     node=None,
     time_limit: Optional[float] = None,
-    tie_break: Optional[dict[int, float]] = None,
+    tie_break: Optional[np.ndarray] = None,
 ) -> tuple[Column, float]:
     """Minimize the reduced cost of a new column for one client, exactly.
 
@@ -332,9 +321,9 @@ def price_client(
     otherwise the optimal vertex of one LP (``build_sub_model``).  Slot
     costs are positive, so that cheapest mask bounds every mask of t slots
     from below, and the bound grows with t: the search stops once it
-    reaches the best mask found.  ``tie_break`` adds an epsilon-scaled
-    per-slot cost that steers the choice among equal-cost columns without
-    disturbing the primary objective.  Returns the column and its reduced
+    reaches the best mask found.  ``tie_break`` (slot s at index s - 1)
+    adds an epsilon-scaled per-slot cost that steers the choice among
+    equal-cost columns without disturbing the primary objective.  Returns the column and its reduced
     cost recomputed from the mask, free of any tie-break perturbation.
     Raises ClientInfeasibleError when no mask meets the client's
     requirements under the node's decisions, and LpTimeoutError when an LP
@@ -342,18 +331,12 @@ def price_client(
     """
     f = frame_size
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    lower, upper = np.zeros(f), np.ones(f)
-    for client_id, slot, allocate in node_decisions(node):
-        if client_id == client.id and allocate:
-            lower[slot - 1] = 1.0
-        elif client_id == client.id or allocate:
-            upper[slot - 1] = 0.0
+    lower, upper = mask_bounds(client.id, f, node_decisions(node))
     if (lower > upper).any():
         raise ClientInfeasibleError(client.id)
-    slots = range(1, f + 1)
-    cost = np.array([duals.lam.get(j, 0.0) for j in slots]) + 1.0 / f
-    if tie_break:
-        cost += TIE_BREAK_EPS * np.array([tie_break.get(j, 0.0) for j in slots])
+    cost = duals.lam + 1.0 / f
+    if tie_break is not None:
+        cost += TIE_BREAK_EPS * tie_break
     forced = int(lower.sum())
     free = np.flatnonzero(upper > lower)
     free = free[np.argsort(cost[free], kind="stable")]
@@ -381,7 +364,7 @@ def price_client(
     if not client_feasible(column.mask, client, f).feasible:
         raise RuntimeError(f"pricing gave client {client.id} an infeasible mask")
     reduced_cost = (
-        sum(duals.lam.get(j, 0.0) for j in column.slots())
+        sum(duals.lam[best == 1].tolist())
         + column.slot_count / frame_size
         - duals.sigma.get(client.id, 0.0)
     )
@@ -389,10 +372,7 @@ def price_client(
 
 
 def zero_duals(instance: ProblemInstance) -> DualPrices:
-    return DualPrices(
-        {j: 0.0 for j in range(1, instance.frame_size + 1)},
-        {c.id: 0.0 for c in instance.clients},
-    )
+    return DualPrices(np.zeros(instance.frame_size), {c.id: 0.0 for c in instance.clients})
 
 
 def ensure_seed_columns(
@@ -494,27 +474,20 @@ def column_generation(
                 fallback=extract_duals(lp, instance), time_limit=remaining(),
             )
             decisions = node_decisions(node)
-            slot_use: dict[int, dict[int, float]] = {}  # client -> slot -> count
-            for client in instance.clients:
-                counts: dict[int, float] = {}
-                for _, col in pool.admissible(client.id, decisions):
-                    for s in col.slots():
-                        counts[s] = counts.get(s, 0.0) + 1.0
-                slot_use[client.id] = counts
+            # admissible columns holding each slot, per client
+            slot_use = {
+                c.id: _masks([col for _, col in pool.admissible(c.id, decisions)], f).sum(axis=0)
+                for c in instance.clients
+            }
+            total_use = sum(slot_use.values())
             priced: list[tuple[ClientRequirement, Column, float]] = []
             for client in sorted(instance.clients, key=lambda c: c.id):
                 if deadline is not None and time.monotonic() >= deadline:
                     return stop("timed_out", _bound_floor(instance, best))
-                tie_break: dict[int, float] = {}
-                for other_id, counts in slot_use.items():
-                    if other_id == client.id:
-                        continue
-                    for s, cnt in counts.items():
-                        tie_break[s] = tie_break.get(s, 0.0) + cnt
                 try:
                     column, xi = price_client(
                         client, duals, f, node, time_limit=remaining(),
-                        tie_break=tie_break,
+                        tie_break=total_use - slot_use[client.id],
                     )
                 except ClientInfeasibleError as exc:
                     raise NodeInfeasibleError(client.id) from exc

@@ -86,9 +86,9 @@ def generative(
             if budget <= 0:
                 return None, NO_FEASIBLE
         position = iteration % n
-        tie_break = {j: rng.random() for j in range(1, f + 1)}
+        tie_break = np.array([rng.random() for _ in range(f)])
         prices = slot_prices(position, config.alpha, held, current, rng)
-        duals = DualPrices(lam=dict(enumerate(prices.tolist(), start=1)), sigma={})
+        duals = DualPrices(lam=prices, sigma={})
         try:
             column, _ = price_client(
                 clients[position], duals, f, time_limit=budget, tie_break=tie_break

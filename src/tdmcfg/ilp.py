@@ -1,11 +1,13 @@
-"""Monolithic ILP over binary slot variables, with the classic speedups.
+"""Monolithic ILP over binary slot variables.
 
 Service constraints are written in allocated-rate form: for a window of
 duration j starting at slot k, the slots the client holds inside the
 window must be at least (j - latency_bound) * phi_i / f, where phi_i is
 the client's (variable) slot count.  This is the linear form of the exact
 latency definition used by the verifier, so solver and verifier agree.
-Any window rows dropped by the pruning options are enforced lazily.
+Windows shorter than the latency need no row, a latency-dominated client
+gets rows for one window length only, and integer-strengthened rows
+tighten the relaxation; any window row left out is added lazily.
 
 Variable ``p * f + s - 1`` is client position p holding slot s.  Row
 builders return dense (coefficients, rhs) blocks over one client's f
@@ -17,9 +19,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,41 +32,13 @@ from .model import (
     Schedule,
     dominance_class,
     latency_witness,
+    mask_bounds,
     slot_lower_bound,
 )
 
 
 class FixingConflictError(ValueError):
     """Contradictory forced slot decisions."""
-
-
-@dataclass(frozen=True)
-class IlpBuildOptions:
-    prune_below_latency: bool = True
-    latency_dominated_single_point: bool = True
-    fix_first_slot: bool = True
-    partial_fixings: frozenset = field(default_factory=frozenset)
-    # each fixing is (client_id, slot (1-based), allocate: bool)
-
-
-def window_slots(frame_size: int, k: int, j: int) -> list[int]:
-    """1-based slots of the cyclic window of duration j starting at k."""
-    return [(k - 1 + off) % frame_size + 1 for off in range(j)]
-
-
-def check_fixings(fixings: Iterable[tuple]) -> dict[tuple[int, int], bool]:
-    decided: dict[tuple[int, int], bool] = {}
-    slot_owner: dict[int, int] = {}
-    for client_id, slot, value in fixings:
-        key = (client_id, slot)
-        if key in decided and decided[key] != value:
-            raise FixingConflictError(f"client {client_id}, slot {slot} fixed both ways")
-        decided[key] = value
-        if value:
-            if slot in slot_owner and slot_owner[slot] != client_id:
-                raise FixingConflictError(f"slot {slot} forced to two clients")
-            slot_owner[slot] = client_id
-    return decided
 
 
 def _windows(frame_size: int, lengths: Sequence[int]) -> np.ndarray:
@@ -134,24 +107,21 @@ def find_latency_violation(
     return latency_witness(mask, client.effective_latency(frame_size))
 
 
-def build_ilp(
-    instance: ProblemInstance, opts: Optional[IlpBuildOptions] = None
-) -> LinearModel:
-    """Assemble the slot-assignment ILP for an instance."""
-    opts = opts or IlpBuildOptions()
-    decided = check_fixings(opts.partial_fixings)
+def build_ilp(instance: ProblemInstance, decisions: Sequence[tuple] = ()) -> LinearModel:
+    """Assemble the slot-assignment ILP for an instance.
+
+    ``decisions`` are (client, slot, allocate) branching decisions; they
+    bound the variables through ``mask_bounds`` and raise
+    FixingConflictError when some slot is decided both ways.
+    """
     f = instance.frame_size
     clients = instance.clients
     nvar = len(clients) * f
-    position = {c.id: p for p, c in enumerate(clients)}
-    lower, upper = np.zeros(nvar), np.ones(nvar)
-    for (client_id, slot), allocate in decided.items():
-        if client_id in position:
-            i = position[client_id] * f + slot - 1
-            if allocate:
-                lower[i] = 1.0
-            else:
-                upper[i] = 0.0
+    # client-major, like the variables
+    lower, upper = np.hstack([mask_bounds(c.id, f, decisions) for c in clients])
+    if (lower > upper).any():
+        p, s = divmod(int(np.argmax(lower > upper)), f)
+        raise FixingConflictError(f"client {clients[p].id}, slot {s + 1} decided both ways")
     # capacity rows: one client per slot
     blocks = [(0, np.tile(np.eye(f), len(clients)), np.ones(f))]
     bounds = [slot_lower_bound(c, f) for c in clients]
@@ -162,23 +132,20 @@ def build_ilp(
         if c.required_rate == 0:
             continue
         theta = c.effective_latency(f)
-        if (
-            opts.latency_dominated_single_point
-            and dominance_class(c, f) == DominanceClass.LATENCY_DOMINATED
-        ):
+        if dominance_class(c, f) == DominanceClass.LATENCY_DOMINATED:
+            # one window length; the lazy callback restores any other
             j_values: Sequence[int] = [min(math.floor(theta) + 1, f)]
-        elif opts.prune_below_latency:
-            j_values = [j for j in range(1, f + 1) if j >= theta]
         else:
-            j_values = range(1, f + 1)
+            j_values = [j for j in range(1, f + 1) if j >= theta]
         blocks.append((p * f, *service_rows(c, f, j_values)))
         blocks.append((p * f, *strengthened_rows(c, f)))
     A_ub, b_ub = stack_rows(blocks, nvar)
     A_eq = b_eq = None
-    if opts.fix_first_slot and not any(slot == 1 for _, slot, _ in opts.partial_fixings):
-        target = min(range(len(clients)), key=lambda p: (bounds[p], clients[p].id))
-        if bounds[target] >= 1:
-            A_eq, b_eq = stack_rows([(target * f, np.ones((1, 1)), [1.0])], nvar)
+    # rotating a schedule keeps it feasible, so with nothing decided slot 1
+    # may go to the client needing the fewest slots
+    target = min(range(len(clients)), key=lambda p: (bounds[p], clients[p].id))
+    if not decisions and bounds[target] >= 1:
+        A_eq, b_eq = stack_rows([(target * f, np.ones((1, 1)), [1.0])], nvar)
     return LinearModel(
         np.full(nvar, 1.0 / f), lower, upper, np.ones(nvar, dtype=bool),
         A_ub, b_ub, A_eq, b_eq,
@@ -215,21 +182,22 @@ def extract_schedule(instance: ProblemInstance, x: np.ndarray) -> Schedule:
 
 def solve_direct(
     instance: ProblemInstance,
-    opts: Optional[IlpBuildOptions] = None,
+    decisions: Sequence[tuple] = (),
     time_limit: Optional[float] = None,
     optimality_gap: float = 0.0,
 ):
     """Solve an instance with the monolithic ILP.
 
     Returns (schedule or None, MipStatus, objective Fraction or None,
-    best_bound float).  ``time_limit`` covers the model build too.
+    best_bound float).  ``decisions`` restrict the schedule as in
+    ``build_ilp``; ``time_limit`` covers the model build too.
     """
     t0 = time.monotonic()
     f = instance.frame_size
     total_lb = sum(slot_lower_bound(c, f) for c in instance.clients)
     if total_lb > f:
         return None, MipStatus.INFEASIBLE, None, math.inf
-    model = build_ilp(instance, opts)
+    model = build_ilp(instance, decisions)
     res = solve_mip(
         model,
         lazy=latency_lazy_callback(instance),

@@ -4,7 +4,8 @@ Rates are fractions of the frame, latencies are measured in slots.  All
 analysis is exact: rates and latencies are rationals, and one integer
 window kernel (``late_windows``) scales the latency-rate service bound by
 the latency's denominator, so feasibility verdicts never depend on
-floating-point tolerances.
+floating-point tolerances.  ``mask_bounds`` is the one place where
+branching decisions become per-slot bounds on a client's mask.
 """
 
 from __future__ import annotations
@@ -202,12 +203,23 @@ class Column:
         return tuple(j + 1 for j, b in enumerate(self.mask) if b)
 
 
-@dataclass(frozen=True)
-class LrCharacterization:
-    """Exact latency-rate parameters provided by a schedule to one client."""
+def mask_bounds(
+    client_id: int, frame_size: int, decisions: Sequence[tuple]
+) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 bounds that (client, slot, allocate) decisions put on one mask.
 
-    latency: Fraction
-    rate: Fraction
+    ``lower`` marks the slots allocated to the client; ``upper`` clears the
+    slots forbidden to it and every slot allocated to another client.  A
+    mask obeys the decisions when lower <= mask <= upper; a slot with
+    lower > upper was decided both ways, and lower < upper marks a free one.
+    """
+    lower, upper = np.zeros(frame_size), np.ones(frame_size)
+    for owner, slot, allocate in decisions:
+        if owner == client_id and allocate:
+            lower[slot - 1] = 1.0
+        elif owner == client_id or allocate:
+            upper[slot - 1] = 0.0
+    return lower, upper
 
 
 def allocated_rate(
@@ -286,35 +298,3 @@ def mask_service_latency(mask: Sequence[int]) -> Fraction:
 def service_latency(schedule: Schedule, client_id: int) -> Fraction:
     """Exact service latency of a client in a schedule (Definition-style)."""
     return mask_service_latency(schedule.mask(client_id))
-
-
-def lr_characterization(schedule: Schedule, client_id: int) -> LrCharacterization:
-    return LrCharacterization(
-        latency=service_latency(schedule, client_id),
-        rate=allocated_rate(schedule, client_id),
-    )
-
-
-def wc_finishing_times(
-    arrivals: Sequence[tuple], lr: LrCharacterization
-) -> list[Fraction]:
-    """Worst-case finishing times of a time-sorted request sequence.
-
-    Each arrival is a (time, size) pair with size in slots.  The k-th bound
-    is max(arr_k + latency, fin_{k-1}) + size_k / rate.
-    """
-    if lr.rate == 0:
-        raise ValueError("finishing times undefined for zero rate")
-    times = [a for a, _ in arrivals]
-    if times != sorted(times):
-        raise ValueError("arrivals must be time-sorted")
-    fins: list[Fraction] = []
-    prev = None
-    for arr, size in arrivals:
-        start = _as_fraction(arr) + lr.latency
-        if prev is not None and prev > start:
-            start = prev
-        fin = start + _as_fraction(size) / lr.rate
-        fins.append(fin)
-        prev = fin
-    return fins

@@ -78,6 +78,8 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         raw_clients = data["clients"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad instance document: {exc}") from exc
+    if not isinstance(raw_clients, list):
+        raise FormatError("bad instance document: clients is not a list")
     clients = []
     for i, entry in enumerate(raw_clients, start=1):
         try:
@@ -126,6 +128,8 @@ def schedule_from_dict(data: dict, instance: ProblemInstance) -> Schedule:
         raw_slots = data["slots"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad schedule document: {exc}") from exc
+    if not isinstance(raw_slots, list):
+        raise FormatError("bad schedule document: slots is not a list")
     if frame_size != instance.frame_size:
         raise FormatError(
             f"schedule frame size {frame_size} != instance {instance.frame_size}"
@@ -135,7 +139,7 @@ def schedule_from_dict(data: dict, instance: ProblemInstance) -> Schedule:
     for j, name in enumerate(raw_slots, start=1):
         if name is None:
             slots.append(None)
-        elif name in ids:
+        elif isinstance(name, str) and name in ids:
             slots.append(ids[name])
         else:
             raise FormatError(f"slot {j} names unknown client {name!r}")

@@ -1,6 +1,7 @@
 """Shared fixtures: the worked 2-client example, random instances, the
-slow cyclic service-curve oracle, an exhaustive pricing oracle and the
-loop-based heuristic slot prices."""
+slow cyclic service-curve oracle, an exhaustive pricing oracle, the
+loop-based heuristic slot prices, loop-based readings of branching
+decisions and latency-rate finishing times."""
 
 import math
 import random
@@ -12,7 +13,16 @@ import numpy as np
 import pytest
 
 from tdmcfg.colgen import Column
-from tdmcfg.model import ClientRequirement, ProblemInstance, late_windows
+from tdmcfg.ilp import FixingConflictError
+from tdmcfg.model import (
+    ClientRequirement,
+    ProblemInstance,
+    Schedule,
+    _as_fraction,
+    allocated_rate,
+    late_windows,
+    service_latency,
+)
 
 
 @pytest.fixture
@@ -107,13 +117,14 @@ class ServiceCurve:
 
 def brute_force_price(
     client: ClientRequirement,
-    lam: dict,
+    lam: Sequence[float],
     frame_size: int,
     decisions: Sequence[tuple] = (),
 ) -> Optional[float]:
     """Least sum(lam over held slots) + slots / f over every mask that meets
     the client's rate and latency and the (client, slot, allocate)
-    decisions, by exhaustive search; None when no mask does."""
+    decisions, by exhaustive search; None when no mask does.  ``lam`` holds
+    the price of slot s at index s - 1."""
     f = frame_size
     masks = (np.arange(1 << f)[:, None] >> np.arange(f)) & 1
     for client_id, slot, allocate in decisions:
@@ -127,7 +138,7 @@ def brute_force_price(
         masks = masks[~late.any(axis=(1, 2))]
     if len(masks) == 0:
         return None
-    cost = np.array([lam.get(j, 0.0) for j in range(1, f + 1)]) + 1.0 / f
+    cost = np.asarray(lam, dtype=float) + 1.0 / f
     return float((masks @ cost).min())
 
 
@@ -182,3 +193,105 @@ def compute_coefficients(
         else:
             coeffs[j] = 1.0
     return coeffs
+
+
+def window_slots(frame_size: int, k: int, j: int) -> list[int]:
+    """1-based slots of the cyclic window of duration j starting at k."""
+    return [(k - 1 + off) % frame_size + 1 for off in range(j)]
+
+
+# Loop-based readings of (client, slot, allocate) decisions, references
+# for ``tdmcfg.model.mask_bounds``.
+
+
+def column_admissible(column: Column, decisions: Sequence[tuple]) -> bool:
+    """Whether a column is consistent with forced/forbidden slot decisions."""
+    for client_id, slot, allocate in decisions:
+        covered = column.mask[slot - 1] == 1
+        if client_id == column.client:
+            if covered != allocate:
+                return False
+        elif allocate and covered:
+            return False
+    return True
+
+
+def check_fixings(fixings: Sequence[tuple]) -> dict[tuple[int, int], bool]:
+    """The decided pairs; raises FixingConflictError when a pair is decided
+    both ways or a slot is allocated to two clients."""
+    decided: dict[tuple[int, int], bool] = {}
+    slot_owner: dict[int, int] = {}
+    for client_id, slot, value in fixings:
+        key = (client_id, slot)
+        if key in decided and decided[key] != value:
+            raise FixingConflictError(f"client {client_id}, slot {slot} fixed both ways")
+        decided[key] = value
+        if value:
+            if slot in slot_owner and slot_owner[slot] != client_id:
+                raise FixingConflictError(f"slot {slot} forced to two clients")
+            slot_owner[slot] = client_id
+    return decided
+
+
+def decided_pairs(
+    decisions: Sequence[tuple],
+) -> tuple[dict[tuple[int, int], bool], dict[int, int]]:
+    """The decided pairs and, per allocated slot, its (last) owner."""
+    decided: dict[tuple[int, int], bool] = {}
+    slot_owner: dict[int, int] = {}
+    for client_id, slot, allocate in decisions:
+        decided[(client_id, slot)] = allocate
+        if allocate:
+            slot_owner[slot] = client_id
+    return decided, slot_owner
+
+
+def free_pairs(decisions: Sequence[tuple], client_ids, frame_size: int) -> set:
+    """(client, slot) pairs that are neither decided nor owned by another client."""
+    decided, slot_owner = decided_pairs(decisions)
+    return {
+        (c, slot)
+        for c in client_ids
+        for slot in range(1, frame_size + 1)
+        if (c, slot) not in decided and slot_owner.get(slot, c) == c
+    }
+
+
+@dataclass(frozen=True)
+class LrCharacterization:
+    """Exact latency-rate parameters provided by a schedule to one client."""
+
+    latency: Fraction
+    rate: Fraction
+
+
+def lr_characterization(schedule: Schedule, client_id: int) -> LrCharacterization:
+    return LrCharacterization(
+        latency=service_latency(schedule, client_id),
+        rate=allocated_rate(schedule, client_id),
+    )
+
+
+def wc_finishing_times(
+    arrivals: Sequence[tuple], lr: LrCharacterization
+) -> list[Fraction]:
+    """Worst-case finishing times of a time-sorted request sequence.
+
+    Each arrival is a (time, size) pair with size in slots.  The k-th bound
+    is max(arr_k + latency, fin_{k-1}) + size_k / rate.
+    """
+    if lr.rate == 0:
+        raise ValueError("finishing times undefined for zero rate")
+    times = [a for a, _ in arrivals]
+    if times != sorted(times):
+        raise ValueError("arrivals must be time-sorted")
+    fins: list[Fraction] = []
+    prev = None
+    for arr, size in arrivals:
+        start = _as_fraction(arr) + lr.latency
+        if prev is not None and prev > start:
+            start = prev
+        fin = start + _as_fraction(size) / lr.rate
+        fins.append(fin)
+        prev = fin
+    return fins

@@ -6,7 +6,6 @@ controller case study, heuristic quality on generated workloads, and the
 exact latency-rate arithmetic.
 """
 
-import itertools
 import math
 import random
 import time
@@ -32,21 +31,26 @@ from tdmcfg.heuristics import (
     continuous_allocation,
     generative,
 )
-from tdmcfg.ilp import IlpBuildOptions, solve_direct
+from tdmcfg.ilp import solve_direct
 from tdmcfg.mip import MipStatus
 from tdmcfg.model import (
-    LrCharacterization,
     allocated_rate,
     mask_service_latency,
     service_latency,
     slot_lower_bound,
-    wc_finishing_times,
 )
 from tdmcfg.serialize import load_instance
 from tdmcfg.usecase import BD, LD, MD, GenSpec, generate
 from tdmcfg.verify import brute_force_optimum, schedule_feasible
 
-from conftest import ServiceCurve, brute_force_price, random_instance, random_mask
+from conftest import (
+    LrCharacterization,
+    ServiceCurve,
+    brute_force_price,
+    random_instance,
+    random_mask,
+    wc_finishing_times,
+)
 
 
 def test_golden_trace(golden_instance, golden_seed_columns):
@@ -112,18 +116,6 @@ def test_cross_method_optimality():
                 assert obj == bf_obj, (label, obj, bf_obj, inst)
             agreements += 1
     assert agreements > 0
-
-
-def test_optimization_flag_neutrality():
-    """All 8 combinations of the ILP build flags give equal optima."""
-    rng = random.Random(77)
-    for _ in range(30):
-        inst = random_instance(rng, max_clients=3, max_frame=10)
-        outcomes = set()
-        for flags in itertools.product([False, True], repeat=3):
-            _, status, objective, _ = solve_direct(inst, IlpBuildOptions(*flags))
-            outcomes.add((status == MipStatus.INFEASIBLE, objective))
-        assert len(outcomes) == 1, (inst, outcomes)
 
 
 def test_case_study():

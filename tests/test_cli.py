@@ -78,6 +78,20 @@ def test_solve_missing_file_exit_code(tmp_path):
     assert main(["solve", str(tmp_path / "nope.json")]) == 1
 
 
+def test_malformed_files_exit_code_without_traceback(
+    tmp_path, capsys, caplog, golden_path
+):
+    bad_instance = tmp_path / "bad_instance.json"
+    bad_instance.write_text(json.dumps({"frame_size": 4, "clients": None}))
+    bad_schedule = tmp_path / "bad_schedule.json"
+    bad_schedule.write_text(json.dumps({"frame_size": 10, "slots": None}))
+    assert main(["solve", str(bad_instance)]) == 1
+    assert main(["verify", str(golden_path), str(bad_schedule)]) == 1
+    assert "cannot read instance" in caplog.text
+    assert "cannot read input" in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
 def test_generate_writes_instances_and_manifest(tmp_path):
     out = tmp_path / "gen"
     code = main(

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tdmcfg import colgen
@@ -16,7 +17,6 @@ from tdmcfg.colgen import (
     NodeInfeasibleError,
     canonical_duals,
     column_generation,
-    column_admissible,
     ensure_seed_columns,
     extract_duals,
     price_client,
@@ -26,7 +26,7 @@ from tdmcfg.colgen import (
 from tdmcfg.ilp import find_latency_violation
 from tdmcfg.model import ClientRequirement, ProblemInstance, latency_witness
 
-from conftest import brute_force_price
+from conftest import brute_force_price, column_admissible
 
 
 def _integral_pair_slots(pool: ColumnPool) -> int:
@@ -59,12 +59,17 @@ def test_column_pool_deduplicates(golden_seed_columns):
 
 def test_column_admissible_respects_decisions(golden_seed_columns):
     a11, _ = golden_seed_columns  # client 1 holds slots 3, 4, 8, 9, 10
-    assert column_admissible(a11, ())
-    assert column_admissible(a11, ((1, 3, True),))
-    assert not column_admissible(a11, ((1, 3, False),))
-    assert not column_admissible(a11, ((1, 1, True),))
+    pool = seeded_pool([a11])
+
+    def admissible(decisions):
+        return pool.admissible(1, decisions) == [(0, a11)]
+
+    assert admissible(())
+    assert admissible(((1, 3, True),))
+    assert not admissible(((1, 3, False),))
+    assert not admissible(((1, 1, True),))
     # another client taking slot 3 forbids it for this column
-    assert not column_admissible(a11, ((2, 3, True),))
+    assert not admissible(((2, 3, True),))
 
 
 def test_master_values_track_pool_growth(golden_instance, golden_seed_columns):
@@ -97,13 +102,13 @@ def test_canonical_duals_satisfy_dual_conditions(
     for client in golden_instance.clients:
         for _, col in pool.admissible(client.id, ()):
             xi = (
-                sum(duals.lam.get(j, 0.0) for j in col.slots())
+                sum(duals.lam[j - 1] for j in col.slots())
                 + col.slot_count / f
                 - duals.sigma.get(client.id, 0.0)
             )
             assert xi >= -1e-6
     # strong duality against the master optimum
-    dual_value = -sum(duals.lam.values()) + sum(duals.sigma.values())
+    dual_value = -duals.lam.sum() + sum(duals.sigma.values())
     assert dual_value == pytest.approx(master.objective, abs=1e-6)
 
 
@@ -159,7 +164,7 @@ def test_price_client_matches_brute_force():
             rate = Fraction(rng.randint(1, f), rng.choice([f, 2 * f, 3 * f]))
             latency = Fraction(rng.randint(0, 3 * f), rng.choice([1, 2, 3, 7]))
         client = ClientRequirement(1, "c", rate, latency)
-        lam = {j: rng.choice([0.0, 0.0, rng.random()]) for j in range(1, f + 1)}
+        lam = np.array([rng.choice([0.0, 0.0, rng.random()]) for _ in range(f)])
         decisions = []
         for slot in range(1, f + 1):
             u = rng.random()
@@ -169,7 +174,7 @@ def test_price_client_matches_brute_force():
                 decisions.append((1, slot, False))
             elif u < 0.25:
                 decisions.append((2, slot, True))  # held by another client
-        tie_break = {j: rng.random() for j in range(1, f + 1)} if case % 3 == 0 else None
+        tie_break = np.array([rng.random() for _ in range(f)]) if case % 3 == 0 else None
         duals = DualPrices(lam, {1: 0.25})
         best = brute_force_price(client, lam, f, decisions)
         node = BnpNode(tuple(decisions))

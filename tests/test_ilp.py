@@ -1,4 +1,4 @@
-"""Monolithic ILP: build options, window rows, lazy latency cuts."""
+"""Monolithic ILP: branching decisions, window rows, lazy latency cuts."""
 
 import itertools
 import random
@@ -11,21 +11,18 @@ import pytest
 from tdmcfg import ilp
 from tdmcfg.ilp import (
     FixingConflictError,
-    IlpBuildOptions,
     build_ilp,
-    check_fixings,
     find_latency_violation,
     service_row,
     service_rows,
     solve_direct,
     strengthened_rows,
-    window_slots,
 )
 from tdmcfg.mip import MipStatus
 from tdmcfg.model import ClientRequirement, ProblemInstance
-from tdmcfg.verify import schedule_feasible
+from tdmcfg.verify import brute_force_optimum, schedule_feasible
 
-from conftest import ServiceCurve, random_instance
+from conftest import ServiceCurve, random_instance, window_slots
 
 
 def test_window_slots_wraps_cyclically():
@@ -34,12 +31,17 @@ def test_window_slots_wraps_cyclically():
 
 
 def test_check_fixings_conflicts():
+    inst = ProblemInstance(
+        6, tuple(ClientRequirement(i, f"c{i}", Fraction(1, 6), None) for i in (1, 2))
+    )
     with pytest.raises(FixingConflictError):
-        check_fixings([(1, 3, True), (1, 3, False)])
+        build_ilp(inst, [(1, 3, True), (1, 3, False)])
     with pytest.raises(FixingConflictError):
-        check_fixings([(1, 3, True), (2, 3, True)])
-    decided = check_fixings([(1, 3, True), (2, 4, False)])
-    assert decided == {(1, 3): True, (2, 4): False}
+        build_ilp(inst, [(1, 3, True), (2, 3, True)])
+    model = build_ilp(inst, [(1, 3, True), (2, 4, False)])
+    # variable p * f + slot - 1; client 1 holding slot 3 bars client 2 from it
+    assert np.flatnonzero(model.lower).tolist() == [2]
+    assert np.flatnonzero(model.upper == 0).tolist() == [6 + 2, 6 + 3]
 
 
 def test_find_latency_violation_matches_exact_check():
@@ -114,8 +116,7 @@ def test_build_ilp_partial_fixings_pin_variables():
     inst = ProblemInstance(
         4, (ClientRequirement(1, "c", Fraction(1, 2), None),)
     )
-    opts = IlpBuildOptions(partial_fixings=frozenset({(1, 2, True), (1, 3, False)}))
-    model = build_ilp(inst, opts)
+    model = build_ilp(inst, ((1, 2, True), (1, 3, False)))
     # variable p * f + slot - 1 for client position p
     assert model.lower.tolist() == [0.0, 1.0, 0.0, 0.0]
     assert model.upper.tolist() == [1.0, 1.0, 0.0, 1.0]
@@ -131,9 +132,9 @@ def test_solve_direct_golden_instance(golden_instance):
 def test_solve_direct_counts_model_build_against_time_limit(
     golden_instance, monkeypatch
 ):
-    def slow_build(instance, opts=None):
+    def slow_build(instance, decisions=()):
         time.sleep(0.3)
-        return build_ilp(instance, opts)
+        return build_ilp(instance, decisions)
 
     monkeypatch.setattr(ilp, "build_ilp", slow_build)
     schedule, status, objective, _ = solve_direct(golden_instance, time_limit=0.2)
@@ -152,15 +153,33 @@ def test_solve_direct_detects_infeasible_by_capacity():
     assert schedule is None
 
 
-def test_option_flags_do_not_change_the_optimum():
-    rng = random.Random(11)
-    for _ in range(10):
-        inst = random_instance(rng, max_frame=10)
-        outcomes = set()
-        for flags in itertools.product([False, True], repeat=3):
-            _, status, objective, _ = solve_direct(inst, IlpBuildOptions(*flags))
-            outcomes.add((status == MipStatus.INFEASIBLE, objective))
-        assert len(outcomes) == 1, f"flags disagree on {inst}: {outcomes}"
+def test_solve_direct_adds_lazy_latency_rows(monkeypatch):
+    # a latency-dominated client gets window rows of one length only; the
+    # lazy callback must restore the others the integral candidates break
+    inst = ProblemInstance(7, (ClientRequirement(1, "c", Fraction(3, 7), Fraction(1)),))
+    hits = []
+
+    def recording(mask, client, frame_size):
+        hits.append(find_latency_violation(mask, client, frame_size))
+        return hits[-1]
+
+    monkeypatch.setattr(ilp, "find_latency_violation", recording)
+    schedule, status, objective, _ = solve_direct(inst)
+    assert any(hit is not None for hit in hits)
+    assert status == MipStatus.OPTIMAL
+    assert objective == brute_force_optimum(inst)[1] == Fraction(6, 7)
+    assert schedule_feasible(schedule, inst).feasible
+
+
+def test_solve_direct_keeps_decisions_off_slot_one():
+    # slot 1 goes to a fixed client only when nothing is decided: with a
+    # decision elsewhere, rotating a schedule no longer keeps it valid
+    inst = ProblemInstance(
+        4, tuple(ClientRequirement(i, f"c{i}", Fraction(1, 4), None) for i in (1, 2))
+    )
+    schedule, status, objective, _ = solve_direct(inst, ((1, 3, True),))
+    assert (status, objective) == (MipStatus.OPTIMAL, Fraction(1, 2))
+    assert schedule.slots[2] == 1
 
 
 def test_solve_direct_solutions_verify():

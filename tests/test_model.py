@@ -3,26 +3,37 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+
+from tdmcfg.colgen import Column, ColumnPool
+from tdmcfg.ilp import FixingConflictError, build_ilp
 
 from tdmcfg.model import (
     ClientRequirement,
     DominanceClass,
     LatencyUndefinedError,
-    LrCharacterization,
     ProblemInstance,
     Schedule,
     UnknownClientError,
     allocated_rate,
     dominance_class,
-    lr_characterization,
+    mask_bounds,
     mask_service_latency,
     service_latency,
     slot_lower_bound,
-    wc_finishing_times,
 )
 
-from conftest import ServiceCurve, random_mask
+from conftest import (
+    LrCharacterization,
+    ServiceCurve,
+    check_fixings,
+    column_admissible,
+    free_pairs,
+    lr_characterization,
+    random_mask,
+    wc_finishing_times,
+)
 
 
 def test_client_requirement_validation():
@@ -154,3 +165,44 @@ def test_wc_finishing_times_rejects_unsorted():
     lr = LrCharacterization(latency=Fraction(1), rate=Fraction(1, 2))
     with pytest.raises(ValueError):
         wc_finishing_times([(3, 1), (1, 1)], lr)
+
+
+def test_mask_bounds_matches_decision_loops():
+    """Pool admissibility, free pairs and ILP conflicts read the decisions
+    exactly as the loop-based oracles do, conflicting sets included."""
+    rng = random.Random(8)
+    conflicts = 0
+    for case in range(300):
+        n, f = rng.randint(1, 4), rng.randint(1, 12)
+        ids = list(range(1, n + 1))
+        decisions = [
+            (rng.choice(ids), rng.randint(1, f), rng.random() < 0.4)
+            for _ in range(rng.randint(0, 2 * f if case % 2 else 3))
+        ]
+        bounds = {c: mask_bounds(c, f, decisions) for c in ids}
+        free = {(c, s + 1) for c, (lo, up) in bounds.items() for s in np.flatnonzero(lo < up)}
+        assert free == free_pairs(decisions, ids, f), decisions
+        inst = ProblemInstance(
+            f, tuple(ClientRequirement(c, f"c{c}", Fraction(0), None) for c in ids)
+        )
+        try:
+            check_fixings(decisions)
+            conflict = False
+        except FixingConflictError:
+            conflict = True
+        conflicts += conflict
+        if conflict:
+            with pytest.raises(FixingConflictError):
+                build_ilp(inst, decisions)
+        else:
+            build_ilp(inst, decisions)
+        pool = ColumnPool()
+        for c, (lo, up) in bounds.items():
+            for _ in range(6):
+                # half of the masks drawn inside the bounds, half anywhere
+                bits = np.array([rng.randint(0, 1) for _ in range(f)])
+                mask = np.where(lo < up, bits, lo) if rng.random() < 0.5 else bits
+                pool.add(Column(c, mask.tolist()))
+            expected = [col for col in pool.columns(c) if column_admissible(col, decisions)]
+            assert [col for _, col in pool.admissible(c, decisions)] == expected
+    assert 30 <= conflicts <= 270

@@ -83,6 +83,12 @@ def test_instance_from_dict_errors():
         instance_from_dict({"frame_size": 4, "clients": [{"rate": "0.5"}]})
 
 
+@pytest.mark.parametrize("clients", [None, 7, "c1", {"name": "c1", "rate": "0.5"}])
+def test_instance_from_dict_rejects_a_clients_field_that_is_not_a_list(clients):
+    with pytest.raises(FormatError):
+        instance_from_dict({"frame_size": 4, "clients": clients})
+
+
 def test_schedule_roundtrip(tmp_path, golden_instance):
     schedule = Schedule((2, 1, 1, 2, 1, 1, 2, None, 1, None))
     path = tmp_path / "sched.json"
@@ -105,6 +111,17 @@ def test_schedule_from_dict_errors(golden_instance):
     doc2["slots"][0] = "stranger"
     with pytest.raises(FormatError):
         schedule_from_dict(doc2, golden_instance)
+    doc2["slots"][0] = ["c1"]  # not a name at all
+    with pytest.raises(FormatError):
+        schedule_from_dict(doc2, golden_instance)
+
+
+@pytest.mark.parametrize("slots", [None, 10, "c1"])
+def test_schedule_from_dict_rejects_a_slots_field_that_is_not_a_list(
+    golden_instance, slots
+):
+    with pytest.raises(FormatError):
+        schedule_from_dict({"frame_size": 10, "slots": slots}, golden_instance)
 
 
 def test_bundled_case_study_loads():
