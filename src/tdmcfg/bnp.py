@@ -16,13 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .colgen import (
-    ColGenLimits,
-    ColumnPool,
-    Column,
-    NodeInfeasibleError,
-    column_generation,
-)
+from .colgen import ColumnPool, Column, NodeInfeasibleError, column_generation
 from .ilp import solve_direct
 from .mip import MipStatus
 from .model import (
@@ -53,24 +47,17 @@ class NoBranchError(Exception):
 class BnpNode:
     decisions: tuple[tuple[int, int, bool], ...]  # (client, slot, allocate)
     depth: int = 0
-    parent: Optional["BnpNode"] = None
     local_bound: float = -math.inf
 
     def child(self, client_id: int, slot: int, allocate: bool) -> "BnpNode":
-        return BnpNode(
-            self.decisions + ((client_id, slot, allocate),),
-            self.depth + 1,
-            self,
-            self.local_bound,
-        )
+        decisions = self.decisions + ((client_id, slot, allocate),)
+        return BnpNode(decisions, self.depth + 1, self.local_bound)
 
 
 @dataclass
 class BnpConfig:
     branching: str = "auto"  # "auto" | "sequential" | "max_probability"
-    completion_positive_pct: Optional[float] = None
-    completion_negative_pct: Optional[float] = None
-    time_limit: Optional[float] = None
+    time_limit: Optional[float] = None  # seconds for the whole call
     heuristic_runs: Optional[int] = None
     seed: int = 0
 
@@ -184,22 +171,17 @@ def branch_max_probability(
 
 
 def complete_with_ilp(
-    node: BnpNode,
-    instance: ProblemInstance,
-    time_limit: Optional[float] = None,
+    node: BnpNode, instance: ProblemInstance, deadline: float = math.inf
 ) -> tuple[Optional[Schedule], Optional[Fraction], MipStatus]:
     """Close a node by solving the monolithic ILP under its decisions."""
     schedule, status, objective, _ = solve_direct(
-        instance, node.decisions, time_limit=time_limit
+        instance, node.decisions, time_limit=deadline - time.monotonic()
     )
     return schedule, objective, status
 
 
 def _warm_start(
-    instance: ProblemInstance,
-    config: BnpConfig,
-    pool: ColumnPool,
-    time_limit: Optional[float] = None,
+    instance: ProblemInstance, config: BnpConfig, pool: ColumnPool, time_limit: float
 ):
     """Run the generative heuristic for the incumbent and seed columns."""
     from .heuristics import allocated_slots, best_of_runs
@@ -227,7 +209,8 @@ def solve_bnp(
     """Branch-and-price search for the minimal-allocation schedule."""
     config = config or BnpConfig()
     stats = BnpStats()
-    t0 = time.monotonic()
+    limit = math.inf if config.time_limit is None else config.time_limit
+    deadline = time.monotonic() + limit
     f = instance.frame_size
     n = instance.n_clients
     total_lb = sum(slot_lower_bound(c, f) for c in instance.clients)
@@ -238,14 +221,9 @@ def solve_bnp(
     if branching == "auto":
         branching = SEQUENTIAL if n <= 16 else MAX_PROBABILITY
     pos_pct, neg_pct = default_completion_thresholds(n)
-    if config.completion_positive_pct is not None:
-        pos_pct = config.completion_positive_pct
-    if config.completion_negative_pct is not None:
-        neg_pct = config.completion_negative_pct
 
     pool = ColumnPool()
-    warm_budget = None if config.time_limit is None else config.time_limit / 3
-    incumbent, incumbent_phi = _warm_start(instance, config, pool, warm_budget)
+    incumbent, incumbent_phi = _warm_start(instance, config, pool, limit / 3)
     stats.heuristic_feasible = incumbent is not None
     best_slots = int(incumbent_phi * f) if incumbent_phi is not None else f + 1
     if incumbent is not None and best_slots <= total_lb:
@@ -254,13 +232,9 @@ def solve_bnp(
     if incumbent is None:
         # no heuristic incumbent: give the monolithic ILP one time slice
         # at the root so the search has something to prune against
-        slice_limit = (
-            None
-            if config.time_limit is None
-            else max(0.1, (config.time_limit - (time.monotonic() - t0)) / 3)
-        )
+        now = time.monotonic()
         schedule, objective, status = complete_with_ilp(
-            BnpNode(()), instance, slice_limit
+            BnpNode(()), instance, now + (deadline - now) / 3
         )
         stats.completions += 1
         if status == MipStatus.INFEASIBLE:
@@ -287,32 +261,20 @@ def solve_bnp(
         root_decisions = ((tight.id, 1, True),)
     root = BnpNode(root_decisions)
 
-    def timed_out() -> bool:
-        return (
-            config.time_limit is not None
-            and time.monotonic() - t0 > config.time_limit
-        )
-
-    def remaining() -> Optional[float]:
-        if config.time_limit is None:
-            return None
-        return max(0.1, config.time_limit - (time.monotonic() - t0))
-
     stack: list[BnpNode] = [root]
     open_bound_floor = math.inf
     ran_out = False
     while stack:
-        if timed_out():
+        if time.monotonic() > deadline:
             ran_out = True
             break
         node = stack.pop()
         stats.nodes_opened += 1
-        limits = ColGenLimits(
-            upper_bound=(best_slots - 1 + 1e-9) / f,
-            time_limit=remaining(),
-        )
         try:
-            res = column_generation(pool, node, instance, limits)
+            res = column_generation(
+                pool, node, instance,
+                upper_bound=(best_slots - 1 + 1e-9) / f, deadline=deadline,
+            )
         except NodeInfeasibleError:
             stats.nodes_infeasible += 1
             continue
@@ -361,9 +323,7 @@ def solve_bnp(
             positives >= pos_pct * f or negatives >= neg_pct * f
         ):
             stats.completions += 1
-            schedule, objective, status = complete_with_ilp(
-                node, instance, remaining()
-            )
+            schedule, objective, status = complete_with_ilp(node, instance, deadline)
             if status == MipStatus.TIMED_OUT:
                 ran_out = True
                 open_bound_floor = min(open_bound_floor, res.lower_bound)
@@ -375,7 +335,7 @@ def solve_bnp(
                 best_slots = int(objective * f)
                 stats.incumbent_updates += 1
             continue
-        node = BnpNode(node.decisions, node.depth, node.parent, res.lower_bound)
+        node = BnpNode(node.decisions, node.depth, res.lower_bound)
         try:
             if branching == SEQUENTIAL:
                 first, second = branch_sequential(node, instance)

@@ -35,6 +35,7 @@ from .verify import client_feasible
 M_PRIME = 10.0
 REDUCED_COST_TOL = 1e-6
 TIE_BREAK_EPS = 1e-7
+MAX_ITERATIONS = 10_000
 
 
 class NodeInfeasibleError(Exception):
@@ -167,10 +168,10 @@ def build_master(
 
 
 def solve_master(
-    pool: ColumnPool, node, instance: ProblemInstance, time_limit: Optional[float] = None
+    pool: ColumnPool, node, instance: ProblemInstance, deadline: float = math.inf
 ) -> tuple[MasterSolution, LpSolution]:
     model, keys = build_master(pool, node, instance)
-    lp = solve_lp(model, time_limit=time_limit)
+    lp = solve_lp(model, deadline=deadline)
     if lp.status == LpStatus.TIMED_OUT:
         raise LpTimeoutError("master LP")
     if lp.status != LpStatus.OPTIMAL:
@@ -198,7 +199,7 @@ def canonical_duals(
     instance: ProblemInstance,
     master_objective: float,
     fallback: Optional[DualPrices] = None,
-    time_limit: Optional[float] = None,
+    deadline: float = math.inf,
 ) -> DualPrices:
     """Minimal-price dual solution on the master's optimal dual face.
 
@@ -208,7 +209,7 @@ def canonical_duals(
     sum_j lambda_j: dual feasibility of every admissible column plus
     strong duality pin down the face, and the minimal prices make pricing
     deterministic and well-scaled.  When this LP fails or reaches
-    ``time_limit``, ``fallback`` (the simplex duals) is returned instead.
+    ``deadline``, ``fallback`` (the simplex duals) is returned instead.
     """
     decisions = node_decisions(node)
     f = instance.frame_size
@@ -233,7 +234,7 @@ def canonical_duals(
         np.zeros(f + n, dtype=bool),
         A_ub, b_ub, A_eq, b_eq,
     )
-    lp = solve_lp(model, time_limit=time_limit)
+    lp = solve_lp(model, deadline=deadline)
     if lp.status != LpStatus.OPTIMAL:
         if fallback is not None:
             return fallback
@@ -310,7 +311,7 @@ def price_client(
     duals: DualPrices,
     frame_size: int,
     node=None,
-    time_limit: Optional[float] = None,
+    deadline: float = math.inf,
     tie_break: Optional[np.ndarray] = None,
 ) -> tuple[Column, float]:
     """Minimize the reduced cost of a new column for one client, exactly.
@@ -327,10 +328,9 @@ def price_client(
     cost recomputed from the mask, free of any tie-break perturbation.
     Raises ClientInfeasibleError when no mask meets the client's
     requirements under the node's decisions, and LpTimeoutError when an LP
-    reaches ``time_limit``.
+    reaches ``deadline``.
     """
     f = frame_size
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     lower, upper = mask_bounds(client.id, f, node_decisions(node))
     if (lower > upper).any():
         raise ClientInfeasibleError(client.id)
@@ -349,8 +349,7 @@ def price_client(
         mask = lower.copy()
         mask[free[:t - forced]] = 1.0
         if not client_feasible(mask.astype(int), client, f).feasible:
-            budget = None if deadline is None else deadline - time.monotonic()
-            lp = solve_lp(build_sub_model(client, cost, lower, upper, t), time_limit=budget)
+            lp = solve_lp(build_sub_model(client, cost, lower, upper, t), deadline=deadline)
             if lp.status == LpStatus.TIMED_OUT:
                 raise LpTimeoutError(f"pricing LP of client {client.id}")
             if lp.status != LpStatus.OPTIMAL:
@@ -376,34 +375,25 @@ def zero_duals(instance: ProblemInstance) -> DualPrices:
 
 
 def ensure_seed_columns(
-    pool: ColumnPool, node, instance: ProblemInstance, time_limit: Optional[float] = None
+    pool: ColumnPool, node, instance: ProblemInstance, deadline: float = math.inf
 ) -> None:
     """Guarantee every client has an admissible column under the node.
 
     Raises NodeInfeasibleError when some client cannot have one at all,
-    and LpTimeoutError when ``time_limit`` runs out first.
+    and LpTimeoutError when ``deadline`` passes first.
     """
     decisions = node_decisions(node)
     duals = zero_duals(instance)
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     for client in instance.clients:
         if pool.admissible(client.id, decisions):
             continue
-        budget = None if deadline is None else deadline - time.monotonic()
         try:
             column, _ = price_client(
-                client, duals, instance.frame_size, node, time_limit=budget
+                client, duals, instance.frame_size, node, deadline=deadline
             )
         except ClientInfeasibleError as exc:
             raise NodeInfeasibleError(client.id) from exc
         pool.add(column)
-
-
-@dataclass
-class ColGenLimits:
-    upper_bound: float = math.inf
-    time_limit: Optional[float] = None
-    max_iterations: int = 10_000
 
 
 @dataclass
@@ -433,28 +423,24 @@ def column_generation(
     pool: ColumnPool,
     node,
     instance: ProblemInstance,
-    limits: Optional[ColGenLimits] = None,
     trace: Optional[list] = None,
+    *,
+    upper_bound: float = math.inf,
+    deadline: float = math.inf,
 ) -> ColGenResult:
     """Iterate master solves and pricing until no client prices negatively.
 
     Pricing is exact, so every iteration's Lagrangian value (master value
     plus the sum of all negative reduced costs) bounds the node from
     below.  Every ``n`` iterations the best of them may close the loop
-    early: when it reaches the incumbent, or when it discretizes to the
-    same slot count as the current master value.  Past
-    ``limits.time_limit`` the loop returns "timed_out" with the best bound
-    it has.  ``trace`` receives one (iteration, master objective,
+    early: when it reaches ``upper_bound`` (the incumbent), or when it
+    discretizes to the same slot count as the current master value.  Past
+    ``deadline`` the loop returns "timed_out" with the best bound it has.
+    ``trace`` receives one (iteration, master objective,
     {client id: reduced cost}) per iteration.
     """
-    limits = limits or ColGenLimits()
     f = instance.frame_size
     n = instance.n_clients
-    deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
-
-    def remaining() -> Optional[float]:
-        return None if deadline is None else deadline - time.monotonic()
-
     master: Optional[MasterSolution] = None
     added_total = 0
     iteration = 0
@@ -465,13 +451,13 @@ def column_generation(
         return ColGenResult(master, bound, status, iteration, added_total, lagrangians)
 
     try:
-        ensure_seed_columns(pool, node, instance, limits.time_limit)
+        ensure_seed_columns(pool, node, instance, deadline)
         while True:
-            master, lp = solve_master(pool, node, instance, remaining())
+            master, lp = solve_master(pool, node, instance, deadline)
             iteration += 1
             duals = canonical_duals(
                 pool, node, instance, master.objective,
-                fallback=extract_duals(lp, instance), time_limit=remaining(),
+                fallback=extract_duals(lp, instance), deadline=deadline,
             )
             decisions = node_decisions(node)
             # admissible columns holding each slot, per client
@@ -482,11 +468,11 @@ def column_generation(
             total_use = sum(slot_use.values())
             priced: list[tuple[ClientRequirement, Column, float]] = []
             for client in sorted(instance.clients, key=lambda c: c.id):
-                if deadline is not None and time.monotonic() >= deadline:
+                if time.monotonic() >= deadline:
                     return stop("timed_out", _bound_floor(instance, best))
                 try:
                     column, xi = price_client(
-                        client, duals, f, node, time_limit=remaining(),
+                        client, duals, f, node, deadline=deadline,
                         tie_break=total_use - slot_use[client.id],
                     )
                 except ClientInfeasibleError as exc:
@@ -504,9 +490,9 @@ def column_generation(
             if iteration % n == 0:
                 lagrangians.append(lagrangian)
                 same_slots = _slots_of(best, f) == _slots_of(master.objective, f)
-                if best >= limits.upper_bound - 1e-9 or same_slots:
+                if best >= upper_bound - 1e-9 or same_slots:
                     return stop("lagrangian_stop", best)
-            if iteration >= limits.max_iterations:
+            if iteration >= MAX_ITERATIONS:
                 lagrangians.append(lagrangian)
                 return stop("lagrangian_stop", best)
             added_now = sum(pool.add(column) for column in negative)

@@ -12,6 +12,7 @@ seeds and stops at a schedule that meets the sum of the slot lower bounds.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -29,14 +30,14 @@ NO_FEASIBLE = "no_feasible"
 # successful runs surveyed on generated LD, MD and BD instances went at most
 # 18.25 rounds (n calls each) without a mask change
 STALL_ROUNDS = 20
+MAX_ITERATIONS = 250
+ALPHA = 0.1  # price surcharge per past iteration a slot was held by others
 
 
 @dataclass
 class HeuristicConfig:
-    alpha: float = 0.1
-    max_iterations: int = 250
     seed: int = 0
-    time_limit: Optional[float] = None
+    deadline: float = math.inf  # time.monotonic() value
 
 
 def slot_prices(
@@ -76,22 +77,16 @@ def generative(
     current = np.zeros((n, f), dtype=np.int64)
     held = np.zeros((n, f), dtype=np.int64)
     unchanged = 0
-    deadline = (
-        None if config.time_limit is None else time.monotonic() + config.time_limit
-    )
-    for iteration in range(config.max_iterations):
-        budget = None
-        if deadline is not None:
-            budget = deadline - time.monotonic()
-            if budget <= 0:
-                return None, NO_FEASIBLE
+    for iteration in range(MAX_ITERATIONS):
+        if time.monotonic() >= config.deadline:
+            return None, NO_FEASIBLE
         position = iteration % n
         tie_break = np.array([rng.random() for _ in range(f)])
-        prices = slot_prices(position, config.alpha, held, current, rng)
+        prices = slot_prices(position, ALPHA, held, current, rng)
         duals = DualPrices(lam=prices, sigma={})
         try:
             column, _ = price_client(
-                clients[position], duals, f, time_limit=budget, tie_break=tie_break
+                clients[position], duals, f, deadline=config.deadline, tie_break=tie_break
             )
         except (ClientInfeasibleError, LpTimeoutError):
             return None, NO_FEASIBLE
@@ -123,21 +118,15 @@ def best_of_runs(
     """Up to ``runs`` generative runs with seeds ``seed``, ``seed + 1``, ...;
     the schedule with the fewest slots (the first on ties) and every feasible
     schedule in run order.  Stops at the slot-bound sum, which none can beat.
+    ``time_limit`` (seconds) covers all runs; a run begun after it ends at once.
     """
     f = instance.frame_size
     floor = sum(slot_lower_bound(c, f) for c in instance.clients)
-    deadline = None if time_limit is None else time.monotonic() + time_limit
+    deadline = time.monotonic() + (math.inf if time_limit is None else time_limit)
     best: Optional[Schedule] = None
     found: list[Schedule] = []
     for k in range(runs):
-        budget = None
-        if deadline is not None:
-            budget = deadline - time.monotonic()
-            if budget <= 0:
-                break
-        schedule, _ = generative(
-            instance, HeuristicConfig(seed=seed + k, time_limit=budget)
-        )
+        schedule, _ = generative(instance, HeuristicConfig(seed + k, deadline))
         if schedule is None:
             continue
         found.append(schedule)

@@ -190,9 +190,9 @@ def solve_direct(
 
     Returns (schedule or None, MipStatus, objective Fraction or None,
     best_bound float).  ``decisions`` restrict the schedule as in
-    ``build_ilp``; ``time_limit`` covers the model build too.
+    ``build_ilp``; ``time_limit`` (seconds) covers the model build too.
     """
-    t0 = time.monotonic()
+    deadline = time.monotonic() + (math.inf if time_limit is None else time_limit)
     f = instance.frame_size
     total_lb = sum(slot_lower_bound(c, f) for c in instance.clients)
     if total_lb > f:
@@ -201,7 +201,7 @@ def solve_direct(
     res = solve_mip(
         model,
         lazy=latency_lazy_callback(instance),
-        time_limit=None if time_limit is None else time_limit - (time.monotonic() - t0),
+        deadline=deadline,
         optimality_gap=optimality_gap,
         bound_grid=1.0 / f,
     )

@@ -114,16 +114,15 @@ def solve_lp(
     model: LinearModel,
     bound_overrides: Optional[dict[int, tuple[float, float]]] = None,
     extra_rows: Sequence[Row] = (),
-    time_limit: Optional[float] = None,
+    deadline: float = math.inf,
 ) -> LpSolution:
     """Solve the LP relaxation; deterministic for a fixed input.
 
     ``bound_overrides`` tightens variable bounds by index without
     rebuilding the model; ``extra_rows`` appends ``<=`` rows after the
-    model's own (used for lazy cuts).  ``time_limit`` bounds the seconds
-    spent in HiGHS; reaching it gives ``LpStatus.TIMED_OUT``.
+    model's own (used for lazy cuts).  HiGHS stops at ``deadline`` (a
+    ``time.monotonic()`` value), which gives ``LpStatus.TIMED_OUT``.
     """
-    t0 = time.monotonic()
     bounds = np.column_stack([model.lower, model.upper])
     if bound_overrides:
         for i, (lo, hi) in bound_overrides.items():
@@ -154,19 +153,13 @@ def solve_lp(
         b_eq=model.b_eq,
         bounds=bounds,
     )
-
-    def limit() -> dict:
-        if time_limit is None:
-            return {}
-        return {"time_limit": max(0.0, time_limit - (time.monotonic() - t0))}
-
-    res = linprog(model.c, method="highs", options=limit(), **args)
+    options = {"time_limit": max(0.0, deadline - time.monotonic())}
+    res = linprog(model.c, method="highs", options=options, **args)
     if res.status not in (0, 1, 2, 3):
         # HiGHS occasionally reports "Unknown" on numerically awkward
         # models; dual simplex without presolve is a reliable fallback
-        res = linprog(
-            model.c, method="highs-ds", options={"presolve": False, **limit()}, **args
-        )
+        options = {"presolve": False, "time_limit": max(0.0, deadline - time.monotonic())}
+        res = linprog(model.c, method="highs-ds", options=options, **args)
     if res.status == 1:
         return LpSolution(LpStatus.TIMED_OUT)
     if res.status == 2:
@@ -198,7 +191,7 @@ def _snap_bound(bound: float, grid: Optional[float]) -> float:
 def solve_mip(
     model: LinearModel,
     lazy: Optional[Callable[[np.ndarray], Optional[Row]]] = None,
-    time_limit: Optional[float] = None,
+    deadline: float = math.inf,
     optimality_gap: float = 0.0,
     bound_grid: Optional[float] = None,
 ) -> MipSolution:
@@ -208,9 +201,9 @@ def solve_mip(
     rounded ``x`` and may return a violated ``<=`` row; the row is added
     globally and the node is re-solved.  ``bound_grid`` optionally rounds
     node bounds up to a known objective granularity, which tightens pruning
-    without affecting correctness.
+    without affecting correctness.  Past ``deadline`` (``time.monotonic()``)
+    the open nodes stay open and the result is FEASIBLE or TIMED_OUT.
     """
-    t0 = time.monotonic()
     lazy_rows: list[Row] = []
     best_obj = math.inf
     best_x: Optional[np.ndarray] = None
@@ -226,11 +219,8 @@ def solve_mip(
         slack = max(FEASIBILITY_TOL, optimality_gap * max(1.0, abs(best_obj)))
         return best_obj - slack
 
-    def remaining() -> Optional[float]:
-        return None if time_limit is None else time_limit - (time.monotonic() - t0)
-
     while stack and not timed_out:
-        if time_limit is not None and remaining() < 0:
+        if time.monotonic() > deadline:
             timed_out = True
             break
         overrides, parent_bound = stack.pop()
@@ -239,7 +229,7 @@ def solve_mip(
             continue
         nodes += 1
         while True:
-            lp = solve_lp(model, overrides, lazy_rows, remaining())
+            lp = solve_lp(model, overrides, lazy_rows, deadline)
             if lp.status == LpStatus.TIMED_OUT:
                 # the node stays open at its parent's bound
                 timed_out = True

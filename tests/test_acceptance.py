@@ -17,7 +17,6 @@ import pytest
 import tdmcfg
 from tdmcfg.bnp import BnpConfig, solve_bnp
 from tdmcfg.colgen import (
-    ColGenLimits,
     ColumnPool,
     canonical_duals,
     column_generation,
@@ -73,7 +72,7 @@ def test_golden_trace(golden_instance, golden_seed_columns):
         assert xi == pytest.approx(best, abs=1e-9)
 
     trace = []
-    res = column_generation(pool, None, golden_instance, ColGenLimits(), trace)
+    res = column_generation(pool, None, golden_instance, trace)
     # exact pricing descends 9/10, 9/10, 4/5; a different choice among
     # equally priced columns may pass through 17/20 in one more iteration
     values = [Fraction(objective).limit_denominator(100) for _, objective, _ in trace]

@@ -34,7 +34,6 @@ def test_node_child_extends_decisions():
     child = root.child(1, 3, True)
     assert child.decisions == ((1, 3, True),)
     assert child.depth == 1
-    assert child.parent is root
 
 
 def test_branch_sequential_forbid_first(golden_instance):
@@ -168,14 +167,12 @@ def test_solve_bnp_proves_optimum_within_time_limit(klass, seed, optimum, limit)
 def _tree_search_only(monkeypatch) -> BnpConfig:
     """No heuristic incumbent and no ILP completion: the tree alone decides."""
     monkeypatch.setattr(
-        bnp, "complete_with_ilp", lambda node, instance, time_limit=None: (
+        bnp, "complete_with_ilp", lambda node, instance, deadline=math.inf: (
             None, None, MipStatus.TIMED_OUT
         )
     )
-    return BnpConfig(
-        seed=0, heuristic_runs=0,
-        completion_positive_pct=2.0, completion_negative_pct=100.0,
-    )
+    monkeypatch.setattr(bnp, "default_completion_thresholds", lambda n: (2.0, 100.0))
+    return BnpConfig(seed=0, heuristic_runs=0)
 
 
 def test_solve_bnp_prunes_infeasible_nodes_without_incumbent(monkeypatch):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import pytest
 
@@ -42,20 +43,22 @@ def test_solve_ilp_stdout(capsys, golden_path):
 
 
 def test_solve_heuristic_passes_time_limit(monkeypatch, capsys, golden_path):
-    limits = []
+    deadlines = []
     generative = heuristics.generative
 
     def recording(instance, config):
-        limits.append(config.time_limit)
+        deadlines.append(config.deadline)
         return generative(instance, config)
 
     monkeypatch.setattr(heuristics, "generative", recording)
+    start = time.monotonic()
     code = main(
         ["solve", str(golden_path), "--method", "heuristic", "--time-limit", "30"]
     )
+    end = time.monotonic()
     assert code == 0
     assert json.loads(capsys.readouterr().out)["status"] == "feasible"
-    assert limits and all(limit is not None and 0 < limit <= 30 for limit in limits)
+    assert deadlines and all(start + 30 <= d <= end + 30 for d in deadlines)
 
 
 def test_solve_infeasible_exit_code(tmp_path):

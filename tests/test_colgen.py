@@ -10,7 +10,6 @@ from tdmcfg import colgen
 from tdmcfg.bnp import BnpNode
 from tdmcfg.colgen import (
     ClientInfeasibleError,
-    ColGenLimits,
     Column,
     ColumnPool,
     DualPrices,
@@ -206,7 +205,7 @@ def test_column_generation_reaches_integral_optimum(
     monkeypatch.setattr(colgen, "price_client", recording_price_client)
     pool = seeded_pool(golden_seed_columns)
     trace = []
-    res = column_generation(pool, None, golden_instance, ColGenLimits(), trace)
+    res = column_generation(pool, None, golden_instance, trace)
     assert res.status == "optimal"
     assert res.lower_bound == pytest.approx(0.8, abs=1e-9)
     # the pool holds a conflict-free integral pair achieving the optimum
@@ -230,9 +229,7 @@ def test_column_generation_reaches_integral_optimum(
 def test_column_generation_upper_bound_stop(golden_instance, golden_seed_columns):
     pool = seeded_pool(golden_seed_columns)
     # an upper bound at the seed value lets the Lagrangian close immediately
-    res = column_generation(
-        pool, None, golden_instance, ColGenLimits(upper_bound=0.8)
-    )
+    res = column_generation(pool, None, golden_instance, upper_bound=0.8)
     assert res.status in ("optimal", "lagrangian_stop")
     assert res.lower_bound <= 0.8 + 1e-9
 
@@ -241,7 +238,7 @@ def test_lagrangian_estimates_below_final_bound(
     golden_instance, golden_seed_columns
 ):
     pool = seeded_pool(golden_seed_columns)
-    res = column_generation(pool, None, golden_instance, ColGenLimits())
+    res = column_generation(pool, None, golden_instance)
     for estimate in res.lagrangian_estimates:
         assert estimate <= res.lower_bound + 1e-9
 

@@ -1,6 +1,7 @@
 """Generative heuristic and the continuous-allocation baseline."""
 
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,15 +10,20 @@ import pytest
 from conftest import AllocationHistory, compute_coefficients
 
 from tdmcfg import heuristics
+from tdmcfg.bnp import BnpConfig, solve_bnp
 from tdmcfg.heuristics import (
     FEASIBLE,
+    MAX_ITERATIONS,
     NO_FEASIBLE,
     HeuristicConfig,
     allocated_slots,
+    best_of_runs,
     continuous_allocation,
     generative,
     slot_prices,
 )
+from tdmcfg.ilp import solve_direct
+from tdmcfg.mip import MipStatus
 from tdmcfg.model import ClientRequirement, ProblemInstance
 from tdmcfg.serialize import load_instance
 from tdmcfg.verify import schedule_feasible
@@ -111,11 +117,24 @@ def test_generative_deterministic_per_seed(golden_instance):
     assert first == second
 
 
-def test_generative_time_limit_zero_budget(golden_instance):
-    schedule, status = generative(
-        golden_instance, HeuristicConfig(seed=0, time_limit=0.0)
-    )
-    assert status == NO_FEASIBLE and schedule is None
+def _best_of_runs_status(instance, **kwargs):
+    best, found = best_of_runs(instance, 8, **kwargs)
+    return best, FEASIBLE if found else NO_FEASIBLE
+
+
+@pytest.mark.parametrize("solve", [
+    lambda inst: solve_direct(inst, time_limit=0)[:2],
+    lambda inst: solve_bnp(inst, BnpConfig(time_limit=0))[:2],
+    lambda inst: _best_of_runs_status(inst, time_limit=0),
+    lambda inst: generative(inst, HeuristicConfig(deadline=time.monotonic())),
+], ids=["solve_direct", "solve_bnp", "best_of_runs", "generative"])
+def test_zero_budget_returns_no_schedule(golden_instance, solve):
+    # every public entry point, given no time at all, gives up at once
+    start = time.monotonic()
+    schedule, status = solve(golden_instance)
+    assert time.monotonic() - start < 2
+    assert schedule is None
+    assert status in (MipStatus.TIMED_OUT, NO_FEASIBLE)
 
 
 LD4_S19 = Path(__file__).resolve().parents[1] / "perfbench/corpus/bnp-tree/ld4-s19.json"
@@ -134,7 +153,7 @@ def test_generative_ends_trapped_runs(monkeypatch, seed, slots):
     schedule, status = generative(instance, HeuristicConfig(seed=seed))
     if slots is None:
         assert (schedule, status) == (None, NO_FEASIBLE)
-        assert len(calls) < HeuristicConfig().max_iterations
+        assert len(calls) < MAX_ITERATIONS
     else:
         assert status == FEASIBLE and allocated_slots(schedule) == slots
         assert schedule_feasible(schedule, instance).feasible

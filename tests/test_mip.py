@@ -1,6 +1,7 @@
 """LP/MIP kernel: duals, branch-and-bound, lazy rows, time limits."""
 
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -107,7 +108,7 @@ def test_solve_mip_bound_grid_snaps_bound():
 
 def test_solve_mip_time_limit_reports_timeout():
     # zero budget: the solver must give up gracefully
-    res = solve_mip(knapsack_model(), time_limit=-1.0)
+    res = solve_mip(knapsack_model(), deadline=time.monotonic() - 1.0)
     assert res.status == MipStatus.TIMED_OUT
     assert res.best_bound <= -19.0 + 1e-9 or math.isinf(res.best_bound)
 
@@ -124,7 +125,7 @@ def test_lp_time_out_keeps_the_node_open(monkeypatch):
         return SimpleNamespace(status=1, message="Time limit reached")
 
     monkeypatch.setattr(mip, "linprog", fake_linprog)
-    res = solve_mip(knapsack_model(), time_limit=60.0)
+    res = solve_mip(knapsack_model(), deadline=time.monotonic() + 60.0)
     assert len(limits) == 2 and all(0 < t <= 60.0 for t in limits)
     assert res.status == MipStatus.TIMED_OUT and res.x is None
     # both children stay open at the root bound
