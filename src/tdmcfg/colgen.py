@@ -22,14 +22,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .mip import LinearModel, LpSolution, LpStatus, solve_lp, stack_rows
-from .model import ClientRequirement, Column, ProblemInstance, mask_bounds, slot_lower_bound
+from .model import (
+    ClientRequirement, Column, ProblemInstance, mask_bounds, slot_lower_bound, window_lengths,
+)
 from .verify import client_feasible
 
 M_PRIME = 10.0
@@ -82,12 +83,6 @@ class ColumnPool:
 
     def columns(self, client_id: int) -> list[Column]:
         return list(self._columns.get(client_id, []))
-
-    def clients(self) -> list[int]:
-        return sorted(self._columns)
-
-    def __len__(self) -> int:
-        return len(self._seen)
 
     def admissible(self, client_id: int, decisions: Sequence[tuple]) -> list[tuple[int, Column]]:
         """(pool index, column) of the client's columns that obey the decisions."""
@@ -242,25 +237,6 @@ def canonical_duals(
     lam = np.maximum(0.0, lp.x[:f])
     sigma = {c.id: v for c, v in zip(instance.clients, lp.x[f:].tolist())}
     return DualPrices(lam, sigma)
-
-
-def window_lengths(theta: Fraction, frame_size: int, t: int) -> list[int]:
-    """Shortest window length j_r that must hold r of t slots, r = 1, 2, ...
-
-    A mask of t slots meets latency theta when every window of length j
-    holds at least ceil(t * (j - theta) / f) of them; that need first
-    reaches r at j_r = floor(theta + (r - 1) * f / t) + 1.  Lengths of f
-    and more are left out: the whole frame always holds all t slots.
-    """
-    f = frame_size
-    num, den = theta.numerator, theta.denominator
-    lengths = []
-    for r in range(1, t + 1):
-        j = (num * t + (r - 1) * f * den) // (den * t) + 1
-        if j >= f:
-            break
-        lengths.append(j)
-    return lengths
 
 
 def build_sub_model(

@@ -5,9 +5,10 @@ duration j starting at slot k, the slots the client holds inside the
 window must be at least (j - latency_bound) * phi_i / f, where phi_i is
 the client's (variable) slot count.  This is the linear form of the exact
 latency definition used by the verifier, so solver and verifier agree.
-Windows shorter than the latency need no row, a latency-dominated client
-gets rows for one window length only, and integer-strengthened rows
-tighten the relaxation; any window row left out is added lazily.
+The model holds the window rows of one length per client, the shortest
+that can be late, and integer-strengthened rows at the need lengths
+``model.window_lengths`` also gives pricing; the lazy callback adds any
+other window row an integral candidate breaks.
 
 Variable ``p * f + s - 1`` is client position p holding slot s.  Row
 builders return dense (coefficients, rhs) blocks over one client's f
@@ -27,13 +28,12 @@ import numpy as np
 from .mip import LinearModel, MipStatus, Row, solve_mip, stack_rows
 from .model import (
     ClientRequirement,
-    DominanceClass,
     ProblemInstance,
     Schedule,
-    dominance_class,
     latency_witness,
     mask_bounds,
     slot_lower_bound,
+    window_lengths,
 )
 
 
@@ -51,20 +51,18 @@ def _windows(frame_size: int, lengths: Sequence[int]) -> np.ndarray:
 
 
 def service_rows(
-    client: ClientRequirement, frame_size: int, j_values: Sequence[int]
+    client: ClientRequirement, frame_size: int, j: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Window rows for each j in j_values (j-major, window start k minor):
+    """Window rows of duration j, one per window start k = 1..f:
     (j - latency) / f * total slots - slots in window <= 0."""
     f = frame_size
-    theta = client.effective_latency(f)
-    coef = [float(Fraction(j) - theta) / f for j in j_values]
-    rows = np.repeat(coef, f)[:, None] - _windows(f, j_values)
-    return rows, np.zeros(len(rows))
+    coef = float(j - client.effective_latency(f)) / f
+    return coef - _windows(f, [j]), np.zeros(f)
 
 
 def service_row(client: ClientRequirement, frame_size: int, k: int, j: int) -> Row:
     """The window row of start k and duration j as one lazy row."""
-    rows, rhs = service_rows(client, frame_size, [j])
+    rows, rhs = service_rows(client, frame_size, j)
     return np.arange(frame_size), rows[k - 1], rhs[k - 1]
 
 
@@ -75,23 +73,14 @@ def strengthened_rows(
 
     Any feasible mask with phi >= lb slots satisfies, for every window,
     wc(k, j) >= phi * (j - latency) / f >= lb * (j - latency) / f, hence
-    wc(k, j) >= ceil(lb * (j - latency) / f).  Rows are emitted only at
-    the j values where that ceiling increases; they are redundant with
-    the exact rows but give the LP relaxation integral strength.
+    wc(k, j) >= ceil(lb * (j - latency) / f).  Rows are emitted at the
+    shortest window length of each need r (``window_lengths``); they are
+    redundant with the exact rows but give the LP relaxation integral
+    strength.  The whole frame needs no row: the slot-bound row holds it.
     """
     f = frame_size
-    lb = slot_lower_bound(client, f)
-    counts, lengths = [], []
-    if lb > 0 and client.required_latency is not None:
-        theta = client.effective_latency(f)
-        for r in range(1, lb + 1):
-            # smallest j with lb*(j - theta)/f > r - 1
-            j = math.floor(theta + Fraction((r - 1) * f, lb)) + 1
-            if j > f:
-                break
-            counts.append(r)
-            lengths.append(j)
-    return -_windows(f, lengths), -np.repeat(np.array(counts, dtype=float), f)
+    lengths = window_lengths(client.effective_latency(f), f, slot_lower_bound(client, f))
+    return -_windows(f, lengths), -np.repeat(np.arange(1.0, len(lengths) + 1), f)
 
 
 def find_latency_violation(
@@ -131,13 +120,10 @@ def build_ilp(instance: ProblemInstance, decisions: Sequence[tuple] = ()) -> Lin
     for p, c in enumerate(clients):
         if c.required_rate == 0:
             continue
-        theta = c.effective_latency(f)
-        if dominance_class(c, f) == DominanceClass.LATENCY_DOMINATED:
-            # one window length; the lazy callback restores any other
-            j_values: Sequence[int] = [min(math.floor(theta) + 1, f)]
-        else:
-            j_values = [j for j in range(1, f + 1) if j >= theta]
-        blocks.append((p * f, *service_rows(c, f, j_values)))
+        # windows no longer than the latency are never late; the lazy
+        # callback adds any other window row an integral candidate breaks
+        j = min(math.floor(c.effective_latency(f)) + 1, f)
+        blocks.append((p * f, *service_rows(c, f, j)))
         blocks.append((p * f, *strengthened_rows(c, f)))
     A_ub, b_ub = stack_rows(blocks, nvar)
     A_eq = b_eq = None
@@ -153,7 +139,7 @@ def build_ilp(instance: ProblemInstance, decisions: Sequence[tuple] = ()) -> Lin
 
 
 def latency_lazy_callback(instance: ProblemInstance):
-    """Lazy hook restoring any pruned window rows on integral candidates."""
+    """Lazy hook adding the first broken window row of an integral candidate."""
 
     f = instance.frame_size
 

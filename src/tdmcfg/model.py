@@ -5,7 +5,9 @@ analysis is exact: rates and latencies are rationals, and one integer
 window kernel (``late_windows``) scales the latency-rate service bound by
 the latency's denominator, so feasibility verdicts never depend on
 floating-point tolerances.  ``mask_bounds`` is the one place where
-branching decisions become per-slot bounds on a client's mask.
+branching decisions become per-slot bounds on a client's mask, and
+``window_lengths`` the one place where the latency condition becomes
+window needs, for pricing and the ILP alike.
 """
 
 from __future__ import annotations
@@ -133,6 +135,25 @@ def slot_lower_bound(req: ClientRequirement, frame_size: int) -> int:
         # a zero-rate client needs no service at all
         return 0
     return bound
+
+
+def window_lengths(theta: Fraction, frame_size: int, t: int) -> list[int]:
+    """Shortest window length j_r that must hold r of t slots, r = 1, 2, ...
+
+    A mask of t slots meets latency theta when every window of length j
+    holds at least ceil(t * (j - theta) / f) of them; that need first
+    reaches r at j_r = floor(theta + (r - 1) * f / t) + 1.  Lengths of f
+    and more are left out: the whole frame always holds all t slots.
+    """
+    f = frame_size
+    num, den = theta.numerator, theta.denominator
+    lengths = []
+    for r in range(1, t + 1):
+        j = (num * t + (r - 1) * f * den) // (den * t) + 1
+        if j >= f:
+            break
+        lengths.append(j)
+    return lengths
 
 
 def dominance_class(req: ClientRequirement, frame_size: int) -> DominanceClass:

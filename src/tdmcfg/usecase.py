@@ -19,7 +19,6 @@ from .model import (
     ProblemInstance,
     dominance_class,
     latency_slot_bound,
-    rate_slot_bound,
 )
 
 BD = "BD"

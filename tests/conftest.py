@@ -1,7 +1,8 @@
 """Shared fixtures: the worked 2-client example, random instances, the
 slow cyclic service-curve oracle, an exhaustive pricing oracle, the
-loop-based heuristic slot prices, loop-based readings of branching
-decisions and latency-rate finishing times."""
+loop-based heuristic slot prices, the Fraction-loop strengthened rows,
+loop-based readings of branching decisions and latency-rate finishing
+times."""
 
 import math
 import random
@@ -22,6 +23,7 @@ from tdmcfg.model import (
     allocated_rate,
     late_windows,
     service_latency,
+    slot_lower_bound,
 )
 
 
@@ -198,6 +200,23 @@ def compute_coefficients(
 def window_slots(frame_size: int, k: int, j: int) -> list[int]:
     """1-based slots of the cyclic window of duration j starting at k."""
     return [(k - 1 + off) % frame_size + 1 for off in range(j)]
+
+
+def strengthened_windows(client: ClientRequirement, frame_size: int) -> list[tuple[int, int]]:
+    """(need r, length j) of each integer-strengthened window row, by a
+    Fraction loop: the smallest j with lb * (j - latency) / f > r - 1,
+    reference for ``tdmcfg.ilp.strengthened_rows``."""
+    f = frame_size
+    lb = slot_lower_bound(client, f)
+    needs = []
+    if lb > 0 and client.required_latency is not None:
+        theta = client.effective_latency(f)
+        for r in range(1, lb + 1):
+            j = math.floor(theta + Fraction((r - 1) * f, lb)) + 1
+            if j > f:
+                break
+            needs.append((r, j))
+    return needs
 
 
 # Loop-based readings of (client, slot, allocate) decisions, references

@@ -134,8 +134,8 @@ def test_solve_bnp_seed_pricing_obeys_time_limit():
 
 @pytest.mark.parametrize("seed", [10, 1])
 def test_solve_bnp_root_completion_lp_obeys_time_limit(seed):
-    # the heuristic fails here and the root ILP completion starts one HiGHS
-    # LP of about 31 000 rows that takes longer than the whole limit
+    # the heuristic fails here, so the root ILP completion runs HiGHS LPs
+    # on the whole instance until the deadline
     instance = generate(GenSpec.default("MD", 8, seed=seed))
     t0 = time.monotonic()
     schedule, status, _, _, _ = solve_bnp(instance, BnpConfig(time_limit=5))

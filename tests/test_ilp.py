@@ -1,6 +1,5 @@
 """Monolithic ILP: branching decisions, window rows, lazy latency cuts."""
 
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -19,10 +18,11 @@ from tdmcfg.ilp import (
     strengthened_rows,
 )
 from tdmcfg.mip import MipStatus
-from tdmcfg.model import ClientRequirement, ProblemInstance
+from tdmcfg.model import ClientRequirement, DominanceClass, ProblemInstance, dominance_class
+from tdmcfg.usecase import GenSpec, generate
 from tdmcfg.verify import brute_force_optimum, schedule_feasible
 
-from conftest import ServiceCurve, random_instance, window_slots
+from conftest import ServiceCurve, random_instance, strengthened_windows, window_slots
 
 
 def test_window_slots_wraps_cyclically():
@@ -82,6 +82,29 @@ def test_strengthened_rows_are_valid_cuts():
         assert (rows @ mask <= rhs + 1e-9).all(), f"feasible mask {mask} cut off"
 
 
+def test_strengthened_rows_match_fraction_loop():
+    # the rows sit at the need lengths pricing uses; only the whole-frame
+    # rows of the Fraction loop are left out, as the slot-bound row holds them
+    rng = random.Random(8)
+    for _ in range(300):
+        f = rng.randint(1, 40)
+        rate = Fraction(rng.randint(0, f), f)
+        den = rng.choice([1, 2, 3, 7])
+        latency = None if rng.random() < 0.1 else Fraction(rng.randint(0, 3 * f * den), den)
+        req = ClientRequirement(1, "c", rate, latency)
+        rows, rhs = strengthened_rows(req, f)
+        expected_rows, expected_rhs = [], []
+        for r, j in strengthened_windows(req, f):
+            if j == f:
+                continue
+            for k in range(1, f + 1):
+                inside = window_slots(f, k, j)
+                expected_rows.append([-float(s in inside) for s in range(1, f + 1)])
+                expected_rhs.append(-float(r))
+        assert rows.reshape(-1, f).tolist() == expected_rows
+        assert rhs.tolist() == expected_rhs
+
+
 def test_strengthened_rows_absent_without_latency():
     req = ClientRequirement(1, "c", Fraction(1, 4), None)
     rows, rhs = strengthened_rows(req, 8)
@@ -101,15 +124,16 @@ def test_service_rows_match_window_loop():
     req = ClientRequirement(1, "c", Fraction(1, 3), Fraction(5, 2))
     f = 6
     theta = req.effective_latency(f)
-    rows, rhs = service_rows(req, f, [3, 5])
-    assert rows.shape == (2 * f, f) and not rhs.any()
-    for r, (j, k) in enumerate(itertools.product([3, 5], range(1, f + 1))):
-        coef = float(Fraction(j) - theta) / f
-        expected = [coef - (s in window_slots(f, k, j)) for s in range(1, f + 1)]
-        assert rows[r].tolist() == expected
-        indices, coefs, b = service_row(req, f, k, j)
-        assert indices.tolist() == list(range(f))
-        assert coefs.tolist() == expected and b == 0.0
+    for j in (3, 5):
+        rows, rhs = service_rows(req, f, j)
+        assert rows.shape == (f, f) and not rhs.any()
+        for k in range(1, f + 1):
+            coef = float(Fraction(j) - theta) / f
+            expected = [coef - (s in window_slots(f, k, j)) for s in range(1, f + 1)]
+            assert rows[k - 1].tolist() == expected
+            indices, coefs, b = service_row(req, f, k, j)
+            assert indices.tolist() == list(range(f))
+            assert coefs.tolist() == expected and b == 0.0
 
 
 def test_build_ilp_partial_fixings_pin_variables():
@@ -143,6 +167,17 @@ def test_solve_direct_counts_model_build_against_time_limit(
     assert (status, objective) == (MipStatus.OPTIMAL, Fraction(4, 5))
 
 
+def test_solve_direct_time_limit_covers_highs_setup():
+    # HiGHS reads its clock only after its set-up, which grows with the
+    # model: at 31 000 rows it outran a 1 s limit by over a second
+    instance = generate(GenSpec.default("MD", 8, seed=0))
+    assert build_ilp(instance).A_ub.shape[0] < 5000
+    t0 = time.monotonic()
+    schedule, status, _, _ = solve_direct(instance, time_limit=1.0)
+    assert time.monotonic() - t0 < 1.5
+    assert (schedule, status) == (None, MipStatus.TIMED_OUT)
+
+
 def test_solve_direct_detects_infeasible_by_capacity():
     clients = tuple(
         ClientRequirement(i, f"c{i}", Fraction(1, 2), None) for i in (1, 2, 3)
@@ -153,10 +188,20 @@ def test_solve_direct_detects_infeasible_by_capacity():
     assert schedule is None
 
 
-def test_solve_direct_adds_lazy_latency_rows(monkeypatch):
-    # a latency-dominated client gets window rows of one length only; the
-    # lazy callback must restore the others the integral candidates break
-    inst = ProblemInstance(7, (ClientRequirement(1, "c", Fraction(3, 7), Fraction(1)),))
+@pytest.mark.parametrize(
+    "latency, klass, optimum",
+    [
+        (Fraction(1), DominanceClass.LATENCY_DOMINATED, Fraction(6, 7)),
+        (Fraction(4, 3), DominanceClass.MIXED_DOMINATED, Fraction(5, 7)),
+    ],
+    ids=["latency-dominated", "mixed-dominated"],
+)
+def test_solve_direct_adds_lazy_latency_rows(monkeypatch, latency, klass, optimum):
+    # every client gets window rows of one length only; the lazy callback
+    # must add the others that the integral candidates break
+    client = ClientRequirement(1, "c", Fraction(3, 7), latency)
+    assert dominance_class(client, 7) == klass
+    inst = ProblemInstance(7, (client,))
     hits = []
 
     def recording(mask, client, frame_size):
@@ -167,7 +212,7 @@ def test_solve_direct_adds_lazy_latency_rows(monkeypatch):
     schedule, status, objective, _ = solve_direct(inst)
     assert any(hit is not None for hit in hits)
     assert status == MipStatus.OPTIMAL
-    assert objective == brute_force_optimum(inst)[1] == Fraction(6, 7)
+    assert objective == brute_force_optimum(inst)[1] == optimum
     assert schedule_feasible(schedule, inst).feasible
 
 
