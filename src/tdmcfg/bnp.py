@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .colgen import ColumnPool, Column, NodeInfeasibleError, column_generation
+from .heuristics import allocated_slots, best_of_runs
 from .ilp import solve_direct
 from .mip import MipStatus
 from .model import (
@@ -25,6 +26,7 @@ from .model import (
     Schedule,
     dominance_class,
     mask_bounds,
+    slot_bound_sum,
     slot_lower_bound,
 )
 from .verify import schedule_feasible
@@ -46,12 +48,11 @@ class NoBranchError(Exception):
 @dataclass(frozen=True)
 class BnpNode:
     decisions: tuple[tuple[int, int, bool], ...]  # (client, slot, allocate)
-    depth: int = 0
     local_bound: float = -math.inf
 
     def child(self, client_id: int, slot: int, allocate: bool) -> "BnpNode":
         decisions = self.decisions + ((client_id, slot, allocate),)
-        return BnpNode(decisions, self.depth + 1, self.local_bound)
+        return BnpNode(decisions, self.local_bound)
 
 
 @dataclass
@@ -72,7 +73,7 @@ class BnpStats:
     incumbent_updates: int = 0
     heuristic_feasible: bool = False
     pruned_bounds: list = field(default_factory=list)
-    node_log: list = field(default_factory=list)  # (depth, lower_bound, estimates)
+    node_log: list = field(default_factory=list)  # (lower_bound, estimates)
 
     def as_dict(self) -> dict:
         return {
@@ -172,20 +173,18 @@ def branch_max_probability(
 
 def complete_with_ilp(
     node: BnpNode, instance: ProblemInstance, deadline: float = math.inf
-) -> tuple[Optional[Schedule], Optional[Fraction], MipStatus]:
+) -> tuple[Optional[Schedule], MipStatus]:
     """Close a node by solving the monolithic ILP under its decisions."""
-    schedule, status, objective, _ = solve_direct(
+    schedule, status, _, _ = solve_direct(
         instance, node.decisions, time_limit=deadline - time.monotonic()
     )
-    return schedule, objective, status
+    return schedule, status
 
 
 def _warm_start(
     instance: ProblemInstance, config: BnpConfig, pool: ColumnPool, time_limit: float
-):
+) -> Optional[Schedule]:
     """Run the generative heuristic for the incumbent and seed columns."""
-    from .heuristics import allocated_slots, best_of_runs
-
     runs = config.heuristic_runs
     if runs is None:
         f = instance.frame_size
@@ -198,9 +197,7 @@ def _warm_start(
     for schedule in found:
         for client in instance.clients:
             pool.add(Column(client.id, schedule.mask(client.id)))
-    if best is None:
-        return None, None
-    return best, Fraction(allocated_slots(best), instance.frame_size)
+    return best
 
 
 def solve_bnp(
@@ -213,9 +210,31 @@ def solve_bnp(
     deadline = time.monotonic() + limit
     f = instance.frame_size
     n = instance.n_clients
-    total_lb = sum(slot_lower_bound(c, f) for c in instance.clients)
+    # the incumbent and its slot count; f + 1 slots stands for none
+    incumbent: Optional[Schedule] = None
+    best_slots = f + 1
+
+    def improve(schedule: Optional[Schedule]) -> None:
+        nonlocal incumbent, best_slots
+        if schedule is not None and allocated_slots(schedule) < best_slots:
+            incumbent, best_slots = schedule, allocated_slots(schedule)
+            stats.incumbent_updates += 1
+
+    def result(open_bound: float = math.inf):
+        """The answer, given the least bound among the open nodes."""
+        phi = None if incumbent is None else Fraction(best_slots, f)
+        # an open node counts only if its bound leaves room below best_slots;
+        # otherwise the search is complete
+        if open_bound * f - 1e-6 <= best_slots - 1:
+            status = MipStatus.TIMED_OUT if incumbent is None else MipStatus.FEASIBLE
+            return incumbent, status, phi, min(open_bound, 1.0), stats  # phi never exceeds 1
+        if incumbent is None:
+            return None, MipStatus.INFEASIBLE, None, math.inf, stats
+        return incumbent, MipStatus.OPTIMAL, phi, float(phi), stats
+
+    total_lb = slot_bound_sum(instance)
     if total_lb > f:
-        return None, MipStatus.INFEASIBLE, None, math.inf, stats
+        return result()
 
     branching = config.branching
     if branching == "auto":
@@ -223,63 +242,48 @@ def solve_bnp(
     pos_pct, neg_pct = default_completion_thresholds(n)
 
     pool = ColumnPool()
-    incumbent, incumbent_phi = _warm_start(instance, config, pool, limit / 3)
+    incumbent = _warm_start(instance, config, pool, limit / 3)
     stats.heuristic_feasible = incumbent is not None
-    best_slots = int(incumbent_phi * f) if incumbent_phi is not None else f + 1
-    if incumbent is not None and best_slots <= total_lb:
+    if incumbent is not None:
+        best_slots = allocated_slots(incumbent)
+    if best_slots <= total_lb:
         # the incumbent meets the sum of per-client slot lower bounds
-        return incumbent, MipStatus.OPTIMAL, incumbent_phi, float(incumbent_phi), stats
+        return result()
     if incumbent is None:
         # no heuristic incumbent: give the monolithic ILP one time slice
         # at the root so the search has something to prune against
         now = time.monotonic()
-        schedule, objective, status = complete_with_ilp(
-            BnpNode(()), instance, now + (deadline - now) / 3
-        )
+        schedule, status = complete_with_ilp(BnpNode(()), instance, now + (deadline - now) / 3)
         stats.completions += 1
-        if status == MipStatus.INFEASIBLE:
-            return None, MipStatus.INFEASIBLE, None, math.inf, stats
+        improve(schedule)
         if schedule is not None:
-            incumbent, incumbent_phi = schedule, objective
-            best_slots = int(objective * f)
-            stats.incumbent_updates += 1
             for client in instance.clients:
                 pool.add(Column(client.id, schedule.mask(client.id)))
-            if status == MipStatus.OPTIMAL:
-                return (
-                    incumbent,
-                    MipStatus.OPTIMAL,
-                    incumbent_phi,
-                    float(incumbent_phi),
-                    stats,
-                )
+        if status in (MipStatus.OPTIMAL, MipStatus.INFEASIBLE):
+            return result()
 
     # root: slot 1 goes to the client with the tightest latency requirement
     root_decisions: tuple = ()
     tight = _theta_order(instance)[0]
     if slot_lower_bound(tight, f) >= 1:
         root_decisions = ((tight.id, 1, True),)
-    root = BnpNode(root_decisions)
 
-    stack: list[BnpNode] = [root]
-    open_bound_floor = math.inf
-    ran_out = False
-    while stack:
-        if time.monotonic() > deadline:
-            ran_out = True
-            break
+    # a node whose column generation or completion runs out of time goes
+    # back on the stack with its bound, so open work is exactly the stack
+    stack: list[BnpNode] = [BnpNode(root_decisions)]
+    while stack and time.monotonic() <= deadline:
         node = stack.pop()
         stats.nodes_opened += 1
         try:
             res = column_generation(
-                pool, node, instance,
+                pool, node.decisions, instance,
                 upper_bound=(best_slots - 1 + 1e-9) / f, deadline=deadline,
             )
         except NodeInfeasibleError:
             stats.nodes_infeasible += 1
             continue
         stats.columns_generated += res.columns_added
-        stats.node_log.append((node.depth, res.lower_bound, list(res.lagrangian_estimates)))
+        stats.node_log.append((res.lower_bound, list(res.lagrangian_estimates)))
         lb_slots = math.ceil(res.lower_bound * f - 1e-6)
         # with no incumbent best_slots is f + 1: a bound above f slots needs
         # over-allocation, so the node holds no feasible schedule
@@ -287,9 +291,9 @@ def solve_bnp(
             stats.nodes_pruned += 1
             stats.pruned_bounds.append(res.lower_bound)
             continue
+        node = BnpNode(node.decisions, res.lower_bound)
         if res.status == "timed_out":
-            ran_out = True
-            open_bound_floor = min(open_bound_floor, res.lower_bound)
+            stack.append(node)
             break
         master = res.master
         if (
@@ -302,9 +306,6 @@ def solve_bnp(
                 schedule = Schedule.from_masks(
                     f, {cid: col.mask for cid, col in chosen.items()}
                 )
-                phi = Fraction(
-                    sum(col.slot_count for col in chosen.values()), f
-                )
                 if not schedule_feasible(schedule, instance).feasible:
                     # each pooled column meets its client's requirements, so a
                     # conflict-free choice of them must verify
@@ -312,30 +313,20 @@ def solve_bnp(
                         f"integral master at node {node.decisions} "
                         "gives an infeasible schedule"
                     )
-                if incumbent is None or phi * f < best_slots:
-                    incumbent, incumbent_phi = schedule, phi
-                    best_slots = int(phi * f)
-                    stats.incumbent_updates += 1
+                improve(schedule)
                 continue  # LP optimum of the node achieved integrally
         positives = sum(1 for _, _, a in node.decisions if a)
-        negatives = sum(1 for _, _, a in node.decisions if not a)
+        negatives = len(node.decisions) - positives
         if node.decisions and (
             positives >= pos_pct * f or negatives >= neg_pct * f
         ):
             stats.completions += 1
-            schedule, objective, status = complete_with_ilp(node, instance, deadline)
+            schedule, status = complete_with_ilp(node, instance, deadline)
             if status == MipStatus.TIMED_OUT:
-                ran_out = True
-                open_bound_floor = min(open_bound_floor, res.lower_bound)
+                stack.append(node)
                 break
-            if schedule is not None and (
-                incumbent is None or objective * f < best_slots
-            ):
-                incumbent, incumbent_phi = schedule, objective
-                best_slots = int(objective * f)
-                stats.incumbent_updates += 1
+            improve(schedule)
             continue
-        node = BnpNode(node.decisions, node.depth, res.lower_bound)
         try:
             if branching == SEQUENTIAL:
                 first, second = branch_sequential(node, instance)
@@ -348,15 +339,4 @@ def solve_bnp(
         stack.append(second)
         stack.append(first)
 
-    for nd in stack:
-        open_bound_floor = min(open_bound_floor, nd.local_bound)
-    # an open node counts only if its bound leaves room below best_slots
-    # (f + 1 with no incumbent); otherwise the search is complete
-    if ran_out and open_bound_floor * f - 1e-6 <= best_slots - 1:
-        bound = min(open_bound_floor, 1.0)  # phi never exceeds 1
-        if incumbent is None:
-            return None, MipStatus.TIMED_OUT, None, bound, stats
-        return incumbent, MipStatus.FEASIBLE, incumbent_phi, bound, stats
-    if incumbent is None:
-        return None, MipStatus.INFEASIBLE, None, math.inf, stats
-    return incumbent, MipStatus.OPTIMAL, incumbent_phi, float(incumbent_phi), stats
+    return result(min((node.local_bound for node in stack), default=math.inf))

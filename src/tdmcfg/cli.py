@@ -18,7 +18,6 @@ from . import serialize
 from .bnp import BnpConfig, solve_bnp
 from .heuristics import best_of_runs, continuous_allocation
 from .ilp import solve_direct
-from .mip import MipStatus
 from .model import ProblemInstance, Schedule, allocated_rate, service_latency
 from .usecase import GenSpec, GenerationExhaustedError, generate
 from .verify import schedule_feasible
@@ -29,13 +28,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_TIMEOUT = 3
-
-_STATUS_TEXT = {
-    MipStatus.OPTIMAL: "optimal",
-    MipStatus.FEASIBLE: "feasible",
-    MipStatus.INFEASIBLE: "infeasible",
-    MipStatus.TIMED_OUT: "timed_out",
-}
 
 _STATUS_EXIT = {
     "optimal": EXIT_OK,
@@ -60,7 +52,7 @@ def run_method(
         schedule, status, objective, bound = solve_direct(
             instance, time_limit=time_limit, optimality_gap=gap
         )
-        return schedule, _STATUS_TEXT[status], objective, bound, {}
+        return schedule, status.value, objective, bound, {}
     if method == "bnp":
         config = BnpConfig(
             branching=branching,
@@ -69,7 +61,7 @@ def run_method(
             seed=seed,
         )
         schedule, status, objective, bound, stats = solve_bnp(instance, config)
-        return schedule, _STATUS_TEXT[status], objective, bound, stats.as_dict()
+        return schedule, status.value, objective, bound, stats.as_dict()
     if method == "heuristic":
         best, _ = best_of_runs(instance, heuristic_runs or 1, seed, time_limit)
         if best is None:

@@ -29,7 +29,8 @@ from scipy import sparse
 
 from .mip import LinearModel, LpSolution, LpStatus, solve_lp, stack_rows
 from .model import (
-    ClientRequirement, Column, ProblemInstance, mask_bounds, slot_lower_bound, window_lengths,
+    ClientRequirement, Column, ProblemInstance, mask_bounds, slot_bound_sum, slot_lower_bound,
+    window_lengths,
 )
 from .verify import client_feasible
 
@@ -48,22 +49,7 @@ class NodeInfeasibleError(Exception):
 
 
 class LpTimeoutError(Exception):
-    """An LP of column generation (master or pricing) reached its time limit."""
-
-
-class ClientInfeasibleError(Exception):
-    """No column of a single client meets its requirements under the node fixings."""
-
-    def __init__(self, client_id: int):
-        super().__init__(f"no feasible column for client {client_id} under the fixings")
-        self.client_id = client_id
-
-
-def node_decisions(node) -> tuple:
-    """Decisions of a branch-and-bound node; None means the root relaxation."""
-    if node is None:
-        return ()
-    return tuple(node.decisions)
+    """Column generation (a master or pricing LP, or the loop) reached its deadline."""
 
 
 class ColumnPool:
@@ -126,14 +112,13 @@ def _masks(columns: Sequence[Column], frame_size: int) -> np.ndarray:
 
 
 def build_master(
-    pool: ColumnPool, node, instance: ProblemInstance
+    pool: ColumnPool, decisions: Sequence[tuple], instance: ProblemInstance
 ) -> tuple[LinearModel, list[tuple[int, int]]]:
-    """Restricted master LP over the admissible columns of a node.
+    """Restricted master LP over the columns that obey a node's decisions.
 
     Returns the model and the (client id, pool index) of each column
     variable, in variable order.
     """
-    decisions = node_decisions(node)
     f = instance.frame_size
     n = instance.n_clients
     keys, columns, upper, owner = [], [], [], []
@@ -163,9 +148,10 @@ def build_master(
 
 
 def solve_master(
-    pool: ColumnPool, node, instance: ProblemInstance, deadline: float = math.inf
+    pool: ColumnPool, decisions: Sequence[tuple], instance: ProblemInstance,
+    deadline: float = math.inf,
 ) -> tuple[MasterSolution, LpSolution]:
-    model, keys = build_master(pool, node, instance)
+    model, keys = build_master(pool, decisions, instance)
     lp = solve_lp(model, deadline=deadline)
     if lp.status == LpStatus.TIMED_OUT:
         raise LpTimeoutError("master LP")
@@ -190,7 +176,7 @@ def extract_duals(lp: LpSolution, instance: ProblemInstance) -> DualPrices:
 
 def canonical_duals(
     pool: ColumnPool,
-    node,
+    decisions: Sequence[tuple],
     instance: ProblemInstance,
     master_objective: float,
     fallback: Optional[DualPrices] = None,
@@ -206,7 +192,6 @@ def canonical_duals(
     deterministic and well-scaled.  When this LP fails or reaches
     ``deadline``, ``fallback`` (the simplex duals) is returned instead.
     """
-    decisions = node_decisions(node)
     f = instance.frame_size
     n = instance.n_clients
     columns, owner = [], []
@@ -286,7 +271,7 @@ def price_client(
     client: ClientRequirement,
     duals: DualPrices,
     frame_size: int,
-    node=None,
+    decisions: Sequence[tuple] = (),
     deadline: float = math.inf,
     tie_break: Optional[np.ndarray] = None,
 ) -> tuple[Column, float]:
@@ -302,14 +287,14 @@ def price_client(
     adds an epsilon-scaled per-slot cost that steers the choice among
     equal-cost columns without disturbing the primary objective.  Returns the column and its reduced
     cost recomputed from the mask, free of any tie-break perturbation.
-    Raises ClientInfeasibleError when no mask meets the client's
-    requirements under the node's decisions, and LpTimeoutError when an LP
-    reaches ``deadline``.
+    Raises NodeInfeasibleError when no mask meets the client's
+    requirements under the branching decisions, and LpTimeoutError when an
+    LP reaches ``deadline``.
     """
     f = frame_size
-    lower, upper = mask_bounds(client.id, f, node_decisions(node))
+    lower, upper = mask_bounds(client.id, f, decisions)
     if (lower > upper).any():
-        raise ClientInfeasibleError(client.id)
+        raise NodeInfeasibleError(client.id)
     cost = duals.lam + 1.0 / f
     if tie_break is not None:
         cost += TIE_BREAK_EPS * tie_break
@@ -334,7 +319,7 @@ def price_client(
         if cost @ mask < best_cost:
             best, best_cost = mask, cost @ mask
     if best is None:
-        raise ClientInfeasibleError(client.id)
+        raise NodeInfeasibleError(client.id)
     column = Column(client.id, best.astype(int).tolist())
     if not client_feasible(column.mask, client, f).feasible:
         raise RuntimeError(f"pricing gave client {client.id} an infeasible mask")
@@ -351,25 +336,21 @@ def zero_duals(instance: ProblemInstance) -> DualPrices:
 
 
 def ensure_seed_columns(
-    pool: ColumnPool, node, instance: ProblemInstance, deadline: float = math.inf
+    pool: ColumnPool, decisions: Sequence[tuple], instance: ProblemInstance,
+    deadline: float = math.inf,
 ) -> None:
-    """Guarantee every client has an admissible column under the node.
+    """Guarantee every client a column that obeys the decisions.
 
     Raises NodeInfeasibleError when some client cannot have one at all,
     and LpTimeoutError when ``deadline`` passes first.
     """
-    decisions = node_decisions(node)
     duals = zero_duals(instance)
     for client in instance.clients:
-        if pool.admissible(client.id, decisions):
-            continue
-        try:
+        if not pool.admissible(client.id, decisions):
             column, _ = price_client(
-                client, duals, instance.frame_size, node, deadline=deadline
+                client, duals, instance.frame_size, decisions, deadline=deadline
             )
-        except ClientInfeasibleError as exc:
-            raise NodeInfeasibleError(client.id) from exc
-        pool.add(column)
+            pool.add(column)
 
 
 @dataclass
@@ -386,18 +367,9 @@ def _slots_of(value: float, frame_size: int) -> int:
     return math.ceil(value * frame_size - 1e-6)
 
 
-def _bound_floor(instance: ProblemInstance, lagrangian: float) -> float:
-    """Best lower bound when the loop stops early: the best Lagrangian
-    value, or the sum of the per-client slot bounds if that is higher."""
-    trivial = float(
-        sum(slot_lower_bound(c, instance.frame_size) for c in instance.clients)
-    ) / instance.frame_size
-    return max(trivial, lagrangian)
-
-
 def column_generation(
     pool: ColumnPool,
-    node,
+    decisions: Sequence[tuple],
     instance: ProblemInstance,
     trace: Optional[list] = None,
     *,
@@ -411,7 +383,8 @@ def column_generation(
     below.  Every ``n`` iterations the best of them may close the loop
     early: when it reaches ``upper_bound`` (the incumbent), or when it
     discretizes to the same slot count as the current master value.  Past
-    ``deadline`` the loop returns "timed_out" with the best bound it has.
+    ``deadline`` the loop returns "timed_out" with the best bound it has:
+    the best Lagrangian value, or the slot-bound sum if that is higher.
     ``trace`` receives one (iteration, master objective,
     {client id: reduced cost}) per iteration.
     """
@@ -427,15 +400,14 @@ def column_generation(
         return ColGenResult(master, bound, status, iteration, added_total, lagrangians)
 
     try:
-        ensure_seed_columns(pool, node, instance, deadline)
+        ensure_seed_columns(pool, decisions, instance, deadline)
         while True:
-            master, lp = solve_master(pool, node, instance, deadline)
+            master, lp = solve_master(pool, decisions, instance, deadline)
             iteration += 1
             duals = canonical_duals(
-                pool, node, instance, master.objective,
+                pool, decisions, instance, master.objective,
                 fallback=extract_duals(lp, instance), deadline=deadline,
             )
-            decisions = node_decisions(node)
             # admissible columns holding each slot, per client
             slot_use = {
                 c.id: _masks([col for _, col in pool.admissible(c.id, decisions)], f).sum(axis=0)
@@ -445,14 +417,11 @@ def column_generation(
             priced: list[tuple[ClientRequirement, Column, float]] = []
             for client in sorted(instance.clients, key=lambda c: c.id):
                 if time.monotonic() >= deadline:
-                    return stop("timed_out", _bound_floor(instance, best))
-                try:
-                    column, xi = price_client(
-                        client, duals, f, node, deadline=deadline,
-                        tie_break=total_use - slot_use[client.id],
-                    )
-                except ClientInfeasibleError as exc:
-                    raise NodeInfeasibleError(client.id) from exc
+                    raise LpTimeoutError("between pricing calls")
+                column, xi = price_client(
+                    client, duals, f, decisions, deadline=deadline,
+                    tie_break=total_use - slot_use[client.id],
+                )
                 priced.append((client, column, xi))
             if trace is not None:
                 trace.append(
@@ -477,4 +446,4 @@ def column_generation(
                 # duplicate columns priced negative: numerical stall, bail out
                 return stop("stalled", best)
     except LpTimeoutError:
-        return stop("timed_out", _bound_floor(instance, best))
+        return stop("timed_out", max(best, slot_bound_sum(instance) / f))

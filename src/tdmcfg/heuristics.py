@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .colgen import ClientInfeasibleError, DualPrices, LpTimeoutError, price_client
-from .model import ProblemInstance, Schedule, slot_lower_bound
+from .colgen import DualPrices, LpTimeoutError, NodeInfeasibleError, price_client
+from .model import ProblemInstance, Schedule, slot_bound_sum, slot_lower_bound
 from .verify import schedule_feasible
 
 FEASIBLE = "feasible"
@@ -88,7 +88,7 @@ def generative(
             column, _ = price_client(
                 clients[position], duals, f, deadline=config.deadline, tie_break=tie_break
             )
-        except (ClientInfeasibleError, LpTimeoutError):
+        except (NodeInfeasibleError, LpTimeoutError):
             return None, NO_FEASIBLE
         mask = np.array(column.mask, dtype=np.int64)
         unchanged = unchanged + 1 if np.array_equal(mask, current[position]) else 0
@@ -120,8 +120,7 @@ def best_of_runs(
     schedule in run order.  Stops at the slot-bound sum, which none can beat.
     ``time_limit`` (seconds) covers all runs; a run begun after it ends at once.
     """
-    f = instance.frame_size
-    floor = sum(slot_lower_bound(c, f) for c in instance.clients)
+    floor = slot_bound_sum(instance)
     deadline = time.monotonic() + (math.inf if time_limit is None else time_limit)
     best: Optional[Schedule] = None
     found: list[Schedule] = []

@@ -32,6 +32,7 @@ from .model import (
     Schedule,
     latency_witness,
     mask_bounds,
+    slot_bound_sum,
     slot_lower_bound,
     window_lengths,
 )
@@ -180,8 +181,7 @@ def solve_direct(
     """
     deadline = time.monotonic() + (math.inf if time_limit is None else time_limit)
     f = instance.frame_size
-    total_lb = sum(slot_lower_bound(c, f) for c in instance.clients)
-    if total_lb > f:
+    if slot_bound_sum(instance) > f:
         return None, MipStatus.INFEASIBLE, None, math.inf
     model = build_ilp(instance, decisions)
     res = solve_mip(

@@ -137,6 +137,11 @@ def slot_lower_bound(req: ClientRequirement, frame_size: int) -> int:
     return bound
 
 
+def slot_bound_sum(instance: ProblemInstance) -> int:
+    """Sum of the per-client slot lower bounds: no schedule allocates fewer."""
+    return sum(slot_lower_bound(c, instance.frame_size) for c in instance.clients)
+
+
 def window_lengths(theta: Fraction, frame_size: int, t: int) -> list[int]:
     """Shortest window length j_r that must hold r of t slots, r = 1, 2, ...
 

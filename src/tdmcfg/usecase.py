@@ -179,36 +179,3 @@ def _draw_latencies(
             return None
         clients.append(client)
     return clients
-
-
-def filter_feasible(
-    instances: Sequence[ProblemInstance],
-    method: str = "bnp",
-    time_limit: Optional[float] = None,
-) -> tuple[list[ProblemInstance], list[tuple[int, str]]]:
-    """Keep instances with a proven feasible schedule; report the rest.
-
-    The report pairs each discarded instance's index with the reason
-    ("infeasible" or "timed_out").
-    """
-    from .bnp import BnpConfig, solve_bnp
-    from .ilp import solve_direct
-    from .mip import MipStatus
-
-    kept: list[ProblemInstance] = []
-    discarded: list[tuple[int, str]] = []
-    for idx, instance in enumerate(instances):
-        if method == "ilp":
-            _, status, _, _ = solve_direct(instance, time_limit=time_limit)
-        elif method == "bnp":
-            _, status, _, _, _ = solve_bnp(
-                instance, BnpConfig(time_limit=time_limit)
-            )
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        if status in (MipStatus.OPTIMAL, MipStatus.FEASIBLE):
-            kept.append(instance)
-        else:
-            reason = "timed_out" if status == MipStatus.TIMED_OUT else "infeasible"
-            discarded.append((idx, reason))
-    return kept, discarded

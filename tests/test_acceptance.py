@@ -58,9 +58,9 @@ def test_golden_trace(golden_instance, golden_seed_columns):
     pool = ColumnPool()
     for col in golden_seed_columns:
         pool.add(col)
-    master, lp = solve_master(pool, None, golden_instance)
+    master, lp = solve_master(pool, (), golden_instance)
     duals = canonical_duals(
-        pool, None, golden_instance, master.objective,
+        pool, (), golden_instance, master.objective,
         fallback=extract_duals(lp, golden_instance),
     )
     _, xi1 = price_client(golden_instance.client(1), duals, 10)
@@ -72,7 +72,7 @@ def test_golden_trace(golden_instance, golden_seed_columns):
         assert xi == pytest.approx(best, abs=1e-9)
 
     trace = []
-    res = column_generation(pool, None, golden_instance, trace)
+    res = column_generation(pool, (), golden_instance, trace)
     # exact pricing descends 9/10, 9/10, 4/5; a different choice among
     # equally priced columns may pass through 17/20 in one more iteration
     values = [Fraction(objective).limit_denominator(100) for _, objective, _ in trace]
@@ -252,7 +252,7 @@ def test_lagrangian_bounds_are_sound():
         assert status == MipStatus.OPTIMAL
         assert objective == bf_obj
         opt_slots = bf_obj * inst.frame_size
-        for _, node_lb, estimates in stats.node_log:
+        for node_lb, estimates in stats.node_log:
             for est in estimates:
                 assert est <= node_lb + 1e-9
         for pruned in stats.pruned_bounds:

@@ -20,6 +20,7 @@ from tdmcfg.bnp import (
     default_completion_thresholds,
     solve_bnp,
 )
+from tdmcfg.colgen import ColGenResult
 from tdmcfg.mip import MipStatus
 from tdmcfg.model import ClientRequirement, ProblemInstance
 from tdmcfg.serialize import load_instance
@@ -33,7 +34,7 @@ def test_node_child_extends_decisions():
     root = BnpNode(())
     child = root.child(1, 3, True)
     assert child.decisions == ((1, 3, True),)
-    assert child.depth == 1
+    assert BnpNode((), 0.5).child(1, 3, True).local_bound == 0.5
 
 
 def test_branch_sequential_forbid_first(golden_instance):
@@ -167,12 +168,49 @@ def test_solve_bnp_proves_optimum_within_time_limit(klass, seed, optimum, limit)
 def _tree_search_only(monkeypatch) -> BnpConfig:
     """No heuristic incumbent and no ILP completion: the tree alone decides."""
     monkeypatch.setattr(
-        bnp, "complete_with_ilp", lambda node, instance, deadline=math.inf: (
-            None, None, MipStatus.TIMED_OUT
-        )
+        bnp, "complete_with_ilp",
+        lambda node, instance, deadline=math.inf: (None, MipStatus.TIMED_OUT),
     )
     monkeypatch.setattr(bnp, "default_completion_thresholds", lambda n: (2.0, 100.0))
     return BnpConfig(seed=0, heuristic_runs=0)
+
+
+def test_root_ilp_slice_closes_bd8_seed3():
+    # with no heuristic run, the ILP's root slice closes this instance before
+    # any node is opened; the tree alone takes about 15 s and 59 nodes
+    instance = generate(GenSpec.default("BD", 8, seed=3))
+    schedule, status, objective, _, stats = solve_bnp(
+        instance, BnpConfig(time_limit=30, heuristic_runs=0)
+    )
+    assert (status, objective) == (MipStatus.OPTIMAL, Fraction(7, 8))
+    assert (stats.completions, stats.nodes_opened) == (1, 0)
+    assert schedule_feasible(schedule, instance).feasible
+
+
+@pytest.mark.parametrize("where", ["column_generation", "completion"])
+@pytest.mark.parametrize("node_bound, reported", [(0.45, 0.45), (0.55, 0.5)])
+def test_timed_out_node_stays_open_with_its_bound(
+    golden_instance, monkeypatch, where, node_bound, reported
+):
+    # the root bounds at 0.5 and branches; at the second node column
+    # generation (or the ILP completion after it) runs out of time.  The
+    # root's other child (bound 0.5) and that node (node_bound) stay open,
+    # and the least of their bounds is reported
+    config = _tree_search_only(monkeypatch)
+    second = "timed_out" if where == "column_generation" else "lagrangian_stop"
+    results = iter([
+        ColGenResult(None, 0.5, "lagrangian_stop", 1, 0),
+        ColGenResult(None, node_bound, second, 1, 0),
+    ])
+    monkeypatch.setattr(bnp, "column_generation", lambda *args, **kwargs: next(results))
+    if where == "completion":
+        # the root holds one Allocate decision, the second node one Forbid more
+        monkeypatch.setattr(bnp, "default_completion_thresholds", lambda n: (2.0, 0.1))
+    schedule, status, objective, bound, stats = solve_bnp(golden_instance, config)
+    assert (schedule, status, objective) == (None, MipStatus.TIMED_OUT, None)
+    assert bound == reported
+    assert stats.nodes_opened == 2
+    assert stats.completions == (1 if where == "column_generation" else 2)
 
 
 def test_solve_bnp_prunes_infeasible_nodes_without_incumbent(monkeypatch):
@@ -217,6 +255,6 @@ def test_solve_bnp_stats_are_populated(golden_instance):
     assert status == MipStatus.OPTIMAL
     d = stats.as_dict()
     assert "nodes_opened" in d and "columns_generated" in d
-    for _, lb, estimates in stats.node_log:
+    for lb, estimates in stats.node_log:
         for est in estimates:
             assert est <= lb + 1e-9

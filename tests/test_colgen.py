@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from tdmcfg import colgen
-from tdmcfg.bnp import BnpNode
 from tdmcfg.colgen import (
-    ClientInfeasibleError,
     Column,
     ColumnPool,
     DualPrices,
@@ -83,7 +81,7 @@ def test_master_values_track_pool_growth(golden_instance, golden_seed_columns):
         ([a11, a21, a22, a12, a23], Fraction(4, 5)),
     ]
     for columns, value in expected:
-        master, _ = solve_master(seeded_pool(columns), None, golden_instance)
+        master, _ = solve_master(seeded_pool(columns), (), golden_instance)
         assert master.objective == pytest.approx(float(value), abs=1e-9)
 
 
@@ -91,9 +89,9 @@ def test_canonical_duals_satisfy_dual_conditions(
     golden_instance, golden_seed_columns
 ):
     pool = seeded_pool(golden_seed_columns)
-    master, lp = solve_master(pool, None, golden_instance)
+    master, lp = solve_master(pool, (), golden_instance)
     duals = canonical_duals(
-        pool, None, golden_instance, master.objective,
+        pool, (), golden_instance, master.objective,
         fallback=extract_duals(lp, golden_instance),
     )
     f = golden_instance.frame_size
@@ -113,9 +111,9 @@ def test_canonical_duals_satisfy_dual_conditions(
 
 def test_iteration_one_reduced_costs(golden_instance, golden_seed_columns):
     pool = seeded_pool(golden_seed_columns)
-    master, lp = solve_master(pool, None, golden_instance)
+    master, lp = solve_master(pool, (), golden_instance)
     duals = canonical_duals(
-        pool, None, golden_instance, master.objective,
+        pool, (), golden_instance, master.objective,
         fallback=extract_duals(lp, golden_instance),
     )
     _, xi1 = price_client(golden_instance.client(1), duals, 10)
@@ -135,8 +133,8 @@ def test_priced_columns_meet_requirements(golden_instance):
 def test_pricing_respects_node_decisions(golden_instance):
     client = golden_instance.client(2)
     duals = zero_duals(golden_instance)
-    node = BnpNode(((2, 1, False), (2, 2, False)))
-    column, _ = price_client(client, duals, 10, node)
+    decisions = ((2, 1, False), (2, 2, False))
+    column, _ = price_client(client, duals, 10, decisions)
     assert column.mask[0] == 0 and column.mask[1] == 0
 
 
@@ -144,9 +142,9 @@ def test_pricing_raises_on_impossible_fixings():
     req = ClientRequirement(1, "c", Fraction(9, 10), None)
     inst = ProblemInstance(10, (req,))
     # forbidding two slots leaves only 8 < 9 required
-    node = BnpNode(((1, 1, False), (1, 2, False)))
-    with pytest.raises(ClientInfeasibleError):
-        price_client(req, zero_duals(inst), 10, node)
+    decisions = ((1, 1, False), (1, 2, False))
+    with pytest.raises(NodeInfeasibleError):
+        price_client(req, zero_duals(inst), 10, decisions)
 
 
 def test_price_client_matches_brute_force():
@@ -176,13 +174,12 @@ def test_price_client_matches_brute_force():
         tie_break = np.array([rng.random() for _ in range(f)]) if case % 3 == 0 else None
         duals = DualPrices(lam, {1: 0.25})
         best = brute_force_price(client, lam, f, decisions)
-        node = BnpNode(tuple(decisions))
         if best is None:
             infeasible += 1
-            with pytest.raises(ClientInfeasibleError):
-                price_client(client, duals, f, node, tie_break=tie_break)
+            with pytest.raises(NodeInfeasibleError):
+                price_client(client, duals, f, decisions, tie_break=tie_break)
             continue
-        column, xi = price_client(client, duals, f, node, tie_break=tie_break)
+        column, xi = price_client(client, duals, f, decisions, tie_break=tie_break)
         assert xi == pytest.approx(best - 0.25, abs=1e-6), (case, client, decisions)
         assert column.slot_count >= rate * f
         if rate > 0:
@@ -196,8 +193,8 @@ def test_column_generation_reaches_integral_optimum(
 ):
     priced = []
 
-    def recording_price_client(client, duals, frame_size, node=None, **kwargs):
-        column, xi = price_client(client, duals, frame_size, node, **kwargs)
+    def recording_price_client(client, duals, frame_size, decisions=(), **kwargs):
+        column, xi = price_client(client, duals, frame_size, decisions, **kwargs)
         best = brute_force_price(client, duals.lam, frame_size)
         priced.append((xi, best - duals.sigma.get(client.id, 0.0)))
         return column, xi
@@ -205,7 +202,7 @@ def test_column_generation_reaches_integral_optimum(
     monkeypatch.setattr(colgen, "price_client", recording_price_client)
     pool = seeded_pool(golden_seed_columns)
     trace = []
-    res = column_generation(pool, None, golden_instance, trace)
+    res = column_generation(pool, (), golden_instance, trace)
     assert res.status == "optimal"
     assert res.lower_bound == pytest.approx(0.8, abs=1e-9)
     # the pool holds a conflict-free integral pair achieving the optimum
@@ -229,7 +226,7 @@ def test_column_generation_reaches_integral_optimum(
 def test_column_generation_upper_bound_stop(golden_instance, golden_seed_columns):
     pool = seeded_pool(golden_seed_columns)
     # an upper bound at the seed value lets the Lagrangian close immediately
-    res = column_generation(pool, None, golden_instance, upper_bound=0.8)
+    res = column_generation(pool, (), golden_instance, upper_bound=0.8)
     assert res.status in ("optimal", "lagrangian_stop")
     assert res.lower_bound <= 0.8 + 1e-9
 
@@ -238,7 +235,7 @@ def test_lagrangian_estimates_below_final_bound(
     golden_instance, golden_seed_columns
 ):
     pool = seeded_pool(golden_seed_columns)
-    res = column_generation(pool, None, golden_instance)
+    res = column_generation(pool, (), golden_instance)
     for estimate in res.lagrangian_estimates:
         assert estimate <= res.lower_bound + 1e-9
 
@@ -248,13 +245,13 @@ def test_ensure_seed_columns_infeasible_node(golden_instance):
     # client 1 needs 5 slots; forbid 6 of the 10
     decisions = tuple((1, s, False) for s in range(1, 7))
     with pytest.raises(NodeInfeasibleError):
-        ensure_seed_columns(pool, BnpNode(decisions), golden_instance)
+        ensure_seed_columns(pool, decisions, golden_instance)
 
 
 def test_master_infeasible_when_no_admissible_column(golden_instance):
     pool = ColumnPool()
     pool.add(Column(1, (1, 1, 1, 1, 1, 0, 0, 0, 0, 0)))
     pool.add(Column(2, (0, 0, 0, 0, 0, 1, 1, 1, 0, 0)))
-    node = BnpNode(((1, 1, False),))  # the only c1 column uses slot 1
+    decisions = ((1, 1, False),)  # the only c1 column uses slot 1
     with pytest.raises(NodeInfeasibleError):
-        solve_master(pool, node, golden_instance)
+        solve_master(pool, decisions, golden_instance)

@@ -1,4 +1,4 @@
-"""Synthetic use-case generator: class windows, determinism, feasibility."""
+"""Synthetic use-case generator: class windows and determinism."""
 
 from fractions import Fraction
 
@@ -14,7 +14,6 @@ from tdmcfg.usecase import (
     LD,
     MD,
     GenSpec,
-    filter_feasible,
     generate,
 )
 
@@ -82,13 +81,3 @@ def test_rates_and_latencies_are_exact_rationals():
         assert isinstance(client.required_rate, Fraction)
         assert client.required_latency is not None
         assert isinstance(client.required_latency, Fraction)
-
-
-def test_filter_feasible_keeps_solvable_instances():
-    instances = [generate(GenSpec.default(BD, 8, seed=s)) for s in range(3)]
-    kept, discarded = filter_feasible(instances, time_limit=60)
-    assert len(kept) + len(discarded) == len(instances)
-    for inst in kept:
-        assert inst in instances
-    for idx, reason in discarded:
-        assert reason in ("infeasible", "timed_out")
