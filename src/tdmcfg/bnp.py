@@ -269,8 +269,9 @@ def solve_bnp(
         root_decisions = ((tight.id, 1, True),)
 
     # a node whose column generation or completion runs out of time goes
-    # back on the stack with its bound, so open work is exactly the stack
-    stack: list[BnpNode] = [BnpNode(root_decisions)]
+    # back on the stack with its bound, so open work is exactly the stack;
+    # the root starts at the slot-bound sum, which holds before it is opened
+    stack: list[BnpNode] = [BnpNode(root_decisions, total_lb / f)]
     while stack and time.monotonic() <= deadline:
         node = stack.pop()
         stats.nodes_opened += 1

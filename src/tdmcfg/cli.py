@@ -42,16 +42,13 @@ def run_method(
     instance: ProblemInstance,
     method: str,
     time_limit: Optional[float] = None,
-    gap: float = 0.0,
     seed: int = 0,
     branching: str = "auto",
     heuristic_runs: Optional[int] = None,
 ) -> tuple[Optional[Schedule], str, Optional[Fraction], float, dict]:
     """Dispatch one solve; returns (schedule, status, objective, bound, stats)."""
     if method == "ilp":
-        schedule, status, objective, bound = solve_direct(
-            instance, time_limit=time_limit, optimality_gap=gap
-        )
+        schedule, status, objective, bound = solve_direct(instance, time_limit=time_limit)
         return schedule, status.value, objective, bound, {}
     if method == "bnp":
         config = BnpConfig(
@@ -143,7 +140,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         instance,
         args.method,
         time_limit=args.time_limit,
-        gap=args.gap,
         seed=args.seed,
         branching=args.branching,
         heuristic_runs=args.heuristic_runs,
@@ -328,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--time-limit", type=float, default=3000.0)
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--gap", type=float, default=0.0)
     solve.add_argument(
         "--branching",
         choices=["auto", "sequential", "max_probability"],

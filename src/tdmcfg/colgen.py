@@ -11,10 +11,11 @@ optimal vertex.
 Sign convention: sigma values are stored so the reduced cost of a column
 is sum_j mask_j * lambda_j + slot_count / f - sigma directly.
 
-The master's variables are its columns (client-major, pool order) and
-then one over-allocation ``y`` per slot; its rows are one capacity row
-per slot and then one convexity row per client.  The dual-selection LP
-has one ``lam`` per slot and then one ``sig`` per client.
+The master's variables are the columns that obey the node's decisions
+(client-major, pool order) and then one over-allocation ``y`` per slot;
+its rows are one capacity row per slot and then one convexity row per
+client.  The dual-selection LP has one ``lam`` per slot and then one
+``sig`` per client.
 """
 
 from __future__ import annotations
@@ -111,6 +112,27 @@ def _masks(columns: Sequence[Column], frame_size: int) -> np.ndarray:
     return np.array([col.mask for col in columns], dtype=float).reshape(-1, frame_size)
 
 
+def _admissible_columns(
+    pool: ColumnPool, decisions: Sequence[tuple], instance: ProblemInstance
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """The columns that obey a node's decisions, client-major in pool order.
+
+    Returns their (client id, pool index) keys, their masks (one row each)
+    and the position of each one's client.  Raises NodeInfeasibleError
+    when some client has none.
+    """
+    keys, columns, owner = [], [], []
+    for p, client in enumerate(instance.clients):
+        admissible = pool.admissible(client.id, decisions)
+        if not admissible:
+            raise NodeInfeasibleError(client.id)
+        for k, col in admissible:
+            keys.append((client.id, k))
+            columns.append(col)
+            owner.append(p)
+    return keys, _masks(columns, instance.frame_size), np.array(owner)
+
+
 def build_master(
     pool: ColumnPool, decisions: Sequence[tuple], instance: ProblemInstance
 ) -> tuple[LinearModel, list[tuple[int, int]]]:
@@ -121,25 +143,15 @@ def build_master(
     """
     f = instance.frame_size
     n = instance.n_clients
-    keys, columns, upper, owner = [], [], [], []
-    for p, client in enumerate(instance.clients):
-        admissible = {k for k, _ in pool.admissible(client.id, decisions)}
-        if not admissible:
-            raise NodeInfeasibleError(client.id)
-        for k, col in enumerate(pool.columns(client.id)):
-            keys.append((client.id, k))
-            columns.append(col)
-            upper.append(math.inf if k in admissible else 0.0)
-            owner.append(p)
-    masks = _masks(columns, f)
-    m = len(columns)
+    keys, masks, owner = _admissible_columns(pool, decisions, instance)
+    m = len(keys)
     cap = np.hstack([masks.T, -np.eye(f)])
     cvx = np.hstack([-np.equal.outer(np.arange(n), owner).astype(float), np.zeros((n, f))])
     A_ub, b_ub = stack_rows([(0, cap, np.ones(f)), (0, cvx, -np.ones(n))], m + f)
     model = LinearModel(
         np.concatenate([masks.sum(axis=1) / f, np.full(f, M_PRIME)]),
         np.zeros(m + f),
-        np.concatenate([upper, np.full(f, float(n))]),
+        np.concatenate([np.full(m, math.inf), np.full(f, float(n))]),
         np.zeros(m + f, dtype=bool),
         A_ub,
         b_ub,
@@ -194,12 +206,7 @@ def canonical_duals(
     """
     f = instance.frame_size
     n = instance.n_clients
-    columns, owner = [], []
-    for p, client in enumerate(instance.clients):
-        for _, col in pool.admissible(client.id, decisions):
-            columns.append(col)
-            owner.append(p)
-    masks = _masks(columns, f)
+    _, masks, owner = _admissible_columns(pool, decisions, instance)
     # reduced cost of every admissible column >= 0
     rc = np.hstack([-masks, np.equal.outer(owner, np.arange(n)).astype(float)])
     A_ub, b_ub = stack_rows([(0, rc, masks.sum(axis=1) / f)], f + n)
@@ -409,11 +416,9 @@ def column_generation(
                 fallback=extract_duals(lp, instance), deadline=deadline,
             )
             # admissible columns holding each slot, per client
-            slot_use = {
-                c.id: _masks([col for _, col in pool.admissible(c.id, decisions)], f).sum(axis=0)
-                for c in instance.clients
-            }
-            total_use = sum(slot_use.values())
+            _, masks, owner = _admissible_columns(pool, decisions, instance)
+            slot_use = {c.id: masks[owner == p].sum(axis=0) for p, c in enumerate(instance.clients)}
+            total_use = masks.sum(axis=0)
             priced: list[tuple[ClientRequirement, Column, float]] = []
             for client in sorted(instance.clients, key=lambda c: c.id):
                 if time.monotonic() >= deadline:

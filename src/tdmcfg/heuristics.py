@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,12 +31,6 @@ NO_FEASIBLE = "no_feasible"
 STALL_ROUNDS = 20
 MAX_ITERATIONS = 250
 ALPHA = 0.1  # price surcharge per past iteration a slot was held by others
-
-
-@dataclass
-class HeuristicConfig:
-    seed: int = 0
-    deadline: float = math.inf  # time.monotonic() value
 
 
 def slot_prices(
@@ -66,11 +59,14 @@ def slot_prices(
 
 
 def generative(
-    instance: ProblemInstance, config: Optional[HeuristicConfig] = None
+    instance: ProblemInstance, *, seed: int = 0, deadline: float = math.inf
 ) -> tuple[Optional[Schedule], str]:
-    """Round-robin pricing runs until the composite schedule is collision-free."""
-    config = config or HeuristicConfig()
-    rng = random.Random(config.seed)
+    """Round-robin pricing runs until the composite schedule is collision-free.
+
+    ``seed`` drives the random tie-breaks; past ``deadline`` (a
+    ``time.monotonic()`` value) the run gives up.
+    """
+    rng = random.Random(seed)
     f = instance.frame_size
     n = instance.n_clients
     clients = list(instance.clients)
@@ -78,7 +74,7 @@ def generative(
     held = np.zeros((n, f), dtype=np.int64)
     unchanged = 0
     for iteration in range(MAX_ITERATIONS):
-        if time.monotonic() >= config.deadline:
+        if time.monotonic() >= deadline:
             return None, NO_FEASIBLE
         position = iteration % n
         tie_break = np.array([rng.random() for _ in range(f)])
@@ -86,7 +82,7 @@ def generative(
         duals = DualPrices(lam=prices, sigma={})
         try:
             column, _ = price_client(
-                clients[position], duals, f, deadline=config.deadline, tie_break=tie_break
+                clients[position], duals, f, deadline=deadline, tie_break=tie_break
             )
         except (NodeInfeasibleError, LpTimeoutError):
             return None, NO_FEASIBLE
@@ -125,7 +121,7 @@ def best_of_runs(
     best: Optional[Schedule] = None
     found: list[Schedule] = []
     for k in range(runs):
-        schedule, _ = generative(instance, HeuristicConfig(seed + k, deadline))
+        schedule, _ = generative(instance, seed=seed + k, deadline=deadline)
         if schedule is None:
             continue
         found.append(schedule)

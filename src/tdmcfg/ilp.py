@@ -126,16 +126,14 @@ def build_ilp(instance: ProblemInstance, decisions: Sequence[tuple] = ()) -> Lin
         j = min(math.floor(c.effective_latency(f)) + 1, f)
         blocks.append((p * f, *service_rows(c, f, j)))
         blocks.append((p * f, *strengthened_rows(c, f)))
-    A_ub, b_ub = stack_rows(blocks, nvar)
-    A_eq = b_eq = None
     # rotating a schedule keeps it feasible, so with nothing decided slot 1
     # may go to the client needing the fewest slots
     target = min(range(len(clients)), key=lambda p: (bounds[p], clients[p].id))
     if not decisions and bounds[target] >= 1:
-        A_eq, b_eq = stack_rows([(target * f, np.ones((1, 1)), [1.0])], nvar)
+        lower[target * f] = 1.0
     return LinearModel(
         np.full(nvar, 1.0 / f), lower, upper, np.ones(nvar, dtype=bool),
-        A_ub, b_ub, A_eq, b_eq,
+        *stack_rows(blocks, nvar),
     )
 
 
@@ -171,7 +169,6 @@ def solve_direct(
     instance: ProblemInstance,
     decisions: Sequence[tuple] = (),
     time_limit: Optional[float] = None,
-    optimality_gap: float = 0.0,
 ):
     """Solve an instance with the monolithic ILP.
 
@@ -188,7 +185,6 @@ def solve_direct(
         model,
         lazy=latency_lazy_callback(instance),
         deadline=deadline,
-        optimality_gap=optimality_gap,
         bound_grid=1.0 / f,
     )
     if res.status in (MipStatus.INFEASIBLE, MipStatus.TIMED_OUT):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -97,7 +97,7 @@ def stack_rows(
 class LpSolution:
     status: LpStatus
     x: Optional[np.ndarray] = None
-    duals: Optional[np.ndarray] = None  # one per A_ub row, lazy rows last
+    duals: Optional[np.ndarray] = None  # one per A_ub row
     objective: float = math.nan
 
 
@@ -110,48 +110,18 @@ class MipSolution:
     nodes: int = 0
 
 
-def solve_lp(
-    model: LinearModel,
-    bound_overrides: Optional[dict[int, tuple[float, float]]] = None,
-    extra_rows: Sequence[Row] = (),
-    deadline: float = math.inf,
-) -> LpSolution:
+def solve_lp(model: LinearModel, deadline: float = math.inf) -> LpSolution:
     """Solve the LP relaxation; deterministic for a fixed input.
 
-    ``bound_overrides`` tightens variable bounds by index without
-    rebuilding the model; ``extra_rows`` appends ``<=`` rows after the
-    model's own (used for lazy cuts).  HiGHS stops at ``deadline`` (a
-    ``time.monotonic()`` value), which gives ``LpStatus.TIMED_OUT``.
+    HiGHS stops at ``deadline`` (a ``time.monotonic()`` value), which
+    gives ``LpStatus.TIMED_OUT``.
     """
-    bounds = np.column_stack([model.lower, model.upper])
-    if bound_overrides:
-        for i, (lo, hi) in bound_overrides.items():
-            bounds[i, 0] = max(bounds[i, 0], lo)
-            bounds[i, 1] = min(bounds[i, 1], hi)
-            if bounds[i, 0] > bounds[i, 1] + FEASIBILITY_TOL:
-                return LpSolution(LpStatus.INFEASIBLE)
-    A_ub, b_ub = model.A_ub, model.b_ub
-    if extra_rows:
-        lengths = [len(idx) for idx, _, _ in extra_rows]
-        block = sparse.csr_matrix(
-            (
-                np.concatenate([coefs for _, coefs, _ in extra_rows]),
-                (
-                    np.repeat(np.arange(len(extra_rows)), lengths),
-                    np.concatenate([idx for idx, _, _ in extra_rows]),
-                ),
-            ),
-            shape=(len(extra_rows), len(model.c)),
-        )
-        block.eliminate_zeros()
-        A_ub = block if A_ub is None else sparse.vstack([A_ub, block], format="csr")
-        b_ub = np.concatenate([b_ub, [rhs for _, _, rhs in extra_rows]])
     args = dict(
-        A_ub=A_ub,
-        b_ub=b_ub if A_ub is not None else None,
+        A_ub=model.A_ub,
+        b_ub=model.b_ub if model.A_ub is not None else None,
         A_eq=model.A_eq,
         b_eq=model.b_eq,
-        bounds=bounds,
+        bounds=np.column_stack([model.lower, model.upper]),
     )
     options = {"time_limit": max(0.0, deadline - time.monotonic())}
     res = linprog(model.c, method="highs", options=options, **args)
@@ -168,7 +138,7 @@ def solve_lp(
         return LpSolution(LpStatus.UNBOUNDED)
     if res.status != 0:
         raise ModelError(f"LP solver failure: {res.message}")
-    duals = res.ineqlin.marginals if A_ub is not None else np.zeros(0)
+    duals = res.ineqlin.marginals if model.A_ub is not None else np.zeros(0)
     return LpSolution(LpStatus.OPTIMAL, res.x, duals, float(res.fun))
 
 
@@ -188,96 +158,98 @@ def _snap_bound(bound: float, grid: Optional[float]) -> float:
     return math.ceil(bound / grid - 1e-6) * grid
 
 
+def _add_row(model: LinearModel, row: Row) -> LinearModel:
+    """The model with one more ``<=`` row after its own."""
+    indices, coefs, rhs = row
+    block = sparse.csr_matrix(
+        (coefs, (np.zeros(len(indices), dtype=int), indices)), shape=(1, len(model.c))
+    )
+    block.eliminate_zeros()
+    A_ub = block if model.A_ub is None else sparse.vstack([model.A_ub, block], format="csr")
+    return replace(model, A_ub=A_ub, b_ub=np.append(model.b_ub, rhs))
+
+
 def solve_mip(
     model: LinearModel,
     lazy: Optional[Callable[[np.ndarray], Optional[Row]]] = None,
     deadline: float = math.inf,
-    optimality_gap: float = 0.0,
     bound_grid: Optional[float] = None,
 ) -> MipSolution:
     """Depth-first branch-and-bound over the integer variables.
 
-    Whenever an integral candidate appears, the lazy callback receives its
-    rounded ``x`` and may return a violated ``<=`` row; the row is added
-    globally and the node is re-solved.  ``bound_grid`` optionally rounds
-    node bounds up to a known objective granularity, which tightens pruning
-    without affecting correctness.  Past ``deadline`` (``time.monotonic()``)
-    the open nodes stay open and the result is FEASIBLE or TIMED_OUT.
+    A node is the model under its own variable bounds.  Whenever an
+    integral candidate appears, the lazy callback receives its rounded
+    ``x`` and may return a violated ``<=`` row; the row joins the model for
+    every later node and the node is re-solved.  ``bound_grid`` optionally
+    rounds node bounds up to a known objective granularity, which tightens
+    pruning without affecting correctness.  Past ``deadline``
+    (``time.monotonic()``) the open nodes stay open and the result is
+    FEASIBLE or TIMED_OUT.
     """
-    lazy_rows: list[Row] = []
     best_obj = math.inf
     best_x: Optional[np.ndarray] = None
-    min_pruned = math.inf
     nodes = 0
     timed_out = False
-    # stack entries: (bound_overrides, parent LP bound)
-    stack: list[tuple[dict[int, tuple[float, float]], float]] = [({}, -math.inf)]
+    # stack entries: (lower bounds, upper bounds, parent LP bound)
+    stack: list[tuple[np.ndarray, np.ndarray, float]] = [
+        (model.lower, model.upper, -math.inf)
+    ]
 
     def prune_threshold() -> float:
-        if best_x is None:
-            return math.inf
-        slack = max(FEASIBILITY_TOL, optimality_gap * max(1.0, abs(best_obj)))
-        return best_obj - slack
+        return math.inf if best_x is None else best_obj - FEASIBILITY_TOL
 
     while stack and not timed_out:
         if time.monotonic() > deadline:
             timed_out = True
             break
-        overrides, parent_bound = stack.pop()
+        lower, upper, parent_bound = stack.pop()
         if parent_bound >= prune_threshold():
-            min_pruned = min(min_pruned, parent_bound)
             continue
         nodes += 1
         while True:
-            lp = solve_lp(model, overrides, lazy_rows, deadline)
+            lp = solve_lp(replace(model, lower=lower, upper=upper), deadline)
             if lp.status == LpStatus.TIMED_OUT:
                 # the node stays open at its parent's bound
                 timed_out = True
-                stack.append((overrides, parent_bound))
+                stack.append((lower, upper, parent_bound))
                 break
             if lp.status != LpStatus.OPTIMAL:
                 break  # infeasible node (unbounded cannot occur with finite bounds)
             bound = _snap_bound(lp.objective, bound_grid)
             if bound >= prune_threshold():
-                min_pruned = min(min_pruned, bound)
                 break
             branch_var = _most_fractional(lp.x, model.integer)
             if branch_var is not None:
                 x = float(lp.x[branch_var])
                 lo, hi = math.floor(x), math.ceil(x)
-                prev_lo, prev_hi = overrides.get(branch_var, (-math.inf, math.inf))
-                down = dict(overrides)
-                down[branch_var] = (prev_lo, min(prev_hi, float(lo)))
-                up = dict(overrides)
-                up[branch_var] = (max(prev_lo, float(hi)), prev_hi)
-                # dive toward the nearer integer first (pushed last)
-                if x - lo <= hi - x:
-                    stack.append((up, bound))
-                    stack.append((down, bound))
-                else:
-                    stack.append((down, bound))
-                    stack.append((up, bound))
+                down_upper = upper.copy()
+                down_upper[branch_var] = min(upper[branch_var], lo)
+                up_lower = lower.copy()
+                up_lower[branch_var] = max(lower[branch_var], hi)
+                down, up = (lower, down_upper, bound), (up_lower, upper, bound)
+                # dive toward the nearer integer first (pushed last); a child
+                # whose bounds cross holds no point and is not pushed
+                for child in ((up, down) if x - lo <= hi - x else (down, up)):
+                    if child[0][branch_var] <= child[1][branch_var] + FEASIBILITY_TOL:
+                        stack.append(child)
                 break
             x = np.where(model.integer, np.round(lp.x), lp.x)
             violated = lazy(x) if lazy is not None else None
             if violated is not None:
-                lazy_rows.append(violated)
+                model = _add_row(model, violated)
                 continue  # re-solve this node with the new row
             if lp.objective < best_obj - FEASIBILITY_TOL:
                 best_obj = lp.objective
                 best_x = x
             break
 
-    open_bounds = [pb for _, pb in stack] if timed_out else []
+    # every pruned bound is at least the incumbent less FEASIBILITY_TOL, so
+    # only the open nodes (the stack, empty unless timed out) can do better
+    open_bound = min((b for _, _, b in stack), default=math.inf)
     if best_x is None:
         if timed_out:
-            bound = min(open_bounds, default=math.inf)
-            return MipSolution(MipStatus.TIMED_OUT, None, math.nan, bound, nodes)
+            return MipSolution(MipStatus.TIMED_OUT, None, math.nan, open_bound, nodes)
         return MipSolution(MipStatus.INFEASIBLE, None, math.nan, math.inf, nodes)
-    lower = min(min_pruned, best_obj)
     if timed_out:
-        lower = min(lower, min(open_bounds, default=math.inf))
-        return MipSolution(MipStatus.FEASIBLE, best_x, best_obj, lower, nodes)
-    if lower >= best_obj - 1e-9:
-        return MipSolution(MipStatus.OPTIMAL, best_x, best_obj, best_obj, nodes)
-    return MipSolution(MipStatus.FEASIBLE, best_x, best_obj, lower, nodes)
+        return MipSolution(MipStatus.FEASIBLE, best_x, best_obj, min(open_bound, best_obj), nodes)
+    return MipSolution(MipStatus.OPTIMAL, best_x, best_obj, best_obj, nodes)

@@ -26,7 +26,6 @@ from tdmcfg.colgen import (
 )
 from tdmcfg.heuristics import (
     FEASIBLE,
-    HeuristicConfig,
     continuous_allocation,
     generative,
 )
@@ -156,7 +155,7 @@ def test_heuristic_quality_on_generated_workloads():
     for k in range(20):
         inst = generate(GenSpec.default(BD, 8, seed=100 + k))
         total += 1
-        schedule, status = generative(inst, HeuristicConfig(seed=0))
+        schedule, status = generative(inst, seed=0)
         if status != FEASIBLE:
             continue
         feasible += 1

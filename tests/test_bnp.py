@@ -106,6 +106,18 @@ def test_solve_bnp_time_limit_returns_promptly(golden_instance):
     )
 
 
+@pytest.mark.parametrize("case", ["worked example", "hd-video"])
+def test_zero_time_limit_reports_the_slot_bound_sum(golden_instance, case):
+    # the deadline passes before the root opens; the root still bounds the answer
+    instance, slots = (
+        (golden_instance, 8) if case == "worked example"
+        else (load_instance(Path(tdmcfg.__file__).parent / "data" / "hd-video.json"), 59)
+    )
+    schedule, status, objective, bound, _ = solve_bnp(instance, BnpConfig(time_limit=0))
+    assert (schedule, status, objective) == (None, MipStatus.TIMED_OUT, None)
+    assert bound == slots / instance.frame_size
+
+
 def test_warm_start_stops_at_slot_bound_sum(monkeypatch):
     # the first heuristic run on the case study already allocates the sum
     # of the slot lower bounds (59 of 64), so no later run can do better

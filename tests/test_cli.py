@@ -35,6 +35,13 @@ def test_solve_bnp_writes_result(tmp_path, golden_path):
         assert entry["allocated_rate"] is not None
 
 
+def test_solve_without_time_reports_the_slot_bound_sum(capsys, golden_path):
+    code = main(["solve", str(golden_path), "--time-limit", "0"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert (doc["status"], doc["bound"], doc["schedule"]) == ("timed_out", 0.8, None)
+
+
 def test_solve_ilp_stdout(capsys, golden_path):
     code = main(["solve", str(golden_path), "--method", "ilp"])
     assert code == 0
@@ -46,9 +53,9 @@ def test_solve_heuristic_passes_time_limit(monkeypatch, capsys, golden_path):
     deadlines = []
     generative = heuristics.generative
 
-    def recording(instance, config):
-        deadlines.append(config.deadline)
-        return generative(instance, config)
+    def recording(instance, *, seed, deadline):
+        deadlines.append(deadline)
+        return generative(instance, seed=seed, deadline=deadline)
 
     monkeypatch.setattr(heuristics, "generative", recording)
     start = time.monotonic()

@@ -12,6 +12,7 @@ from tdmcfg.colgen import (
     ColumnPool,
     DualPrices,
     NodeInfeasibleError,
+    build_master,
     canonical_duals,
     column_generation,
     ensure_seed_columns,
@@ -255,3 +256,16 @@ def test_master_infeasible_when_no_admissible_column(golden_instance):
     decisions = ((1, 1, False),)  # the only c1 column uses slot 1
     with pytest.raises(NodeInfeasibleError):
         solve_master(pool, decisions, golden_instance)
+
+
+def test_master_holds_only_admissible_columns(golden_instance, golden_seed_columns):
+    a11, a21 = golden_seed_columns
+    a12 = Column(1, (0, 1, 1, 0, 1, 1, 0, 0, 1, 0))
+    pool = seeded_pool([a11, a21, a12])
+    decisions = ((1, 2, False),)  # a12 holds slot 2
+    model, keys = build_master(pool, decisions, golden_instance)
+    admissible = [
+        (c.id, k) for c in golden_instance.clients for k, _ in pool.admissible(c.id, decisions)
+    ]
+    assert keys == admissible == [(1, 0), (2, 0)]
+    assert len(model.c) == len(admissible) + golden_instance.frame_size

@@ -15,7 +15,6 @@ from tdmcfg.heuristics import (
     FEASIBLE,
     MAX_ITERATIONS,
     NO_FEASIBLE,
-    HeuristicConfig,
     allocated_slots,
     best_of_runs,
     continuous_allocation,
@@ -96,7 +95,7 @@ def test_slot_prices_match_loop_oracle():
 
 
 def test_generative_finds_verified_schedule(golden_instance):
-    schedule, status = generative(golden_instance, HeuristicConfig(seed=0))
+    schedule, status = generative(golden_instance, seed=0)
     assert status == FEASIBLE
     assert schedule_feasible(schedule, golden_instance).feasible
 
@@ -106,14 +105,14 @@ def test_generative_reports_no_feasible_when_overloaded():
         ClientRequirement(i, f"c{i}", Fraction(1, 2), None) for i in (1, 2, 3)
     )
     inst = ProblemInstance(4, clients)
-    schedule, status = generative(inst, HeuristicConfig(seed=0))
+    schedule, status = generative(inst, seed=0)
     assert status == NO_FEASIBLE
     assert schedule is None
 
 
 def test_generative_deterministic_per_seed(golden_instance):
-    first, _ = generative(golden_instance, HeuristicConfig(seed=3))
-    second, _ = generative(golden_instance, HeuristicConfig(seed=3))
+    first, _ = generative(golden_instance, seed=3)
+    second, _ = generative(golden_instance, seed=3)
     assert first == second
 
 
@@ -126,7 +125,7 @@ def _best_of_runs_status(instance, **kwargs):
     lambda inst: solve_direct(inst, time_limit=0)[:2],
     lambda inst: solve_bnp(inst, BnpConfig(time_limit=0))[:2],
     lambda inst: _best_of_runs_status(inst, time_limit=0),
-    lambda inst: generative(inst, HeuristicConfig(deadline=time.monotonic())),
+    lambda inst: generative(inst, deadline=time.monotonic()),
 ], ids=["solve_direct", "solve_bnp", "best_of_runs", "generative"])
 def test_zero_budget_returns_no_schedule(golden_instance, solve):
     # every public entry point, given no time at all, gives up at once
@@ -150,7 +149,7 @@ def test_generative_ends_trapped_runs(monkeypatch, seed, slots):
     monkeypatch.setattr(
         heuristics, "price_client", lambda *a, **k: calls.append(1) or price(*a, **k)
     )
-    schedule, status = generative(instance, HeuristicConfig(seed=seed))
+    schedule, status = generative(instance, seed=seed)
     if slots is None:
         assert (schedule, status) == (None, NO_FEASIBLE)
         assert len(calls) < MAX_ITERATIONS

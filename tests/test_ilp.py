@@ -44,6 +44,18 @@ def test_check_fixings_conflicts():
     assert np.flatnonzero(model.upper == 0).tolist() == [6 + 2, 6 + 3]
 
 
+def test_build_ilp_pins_slot_one_by_a_bound(golden_instance):
+    f = golden_instance.frame_size
+    model = build_ilp(golden_instance)
+    assert model.A_eq is None
+    # client 2 needs the fewer slots (3 of 10), so slot 1 goes to it
+    assert np.flatnonzero(model.lower).tolist() == [f]
+    # any decision may break the rotation symmetry, so none is pinned then
+    decided = build_ilp(golden_instance, [(1, 5, False)])
+    assert decided.A_eq is None
+    assert not decided.lower.any()
+
+
 def test_find_latency_violation_matches_exact_check():
     # the witness is the first late window of the cyclic scan, j-major
     rng = random.Random(3)

@@ -42,16 +42,6 @@ def test_solve_lp_infeasible():
     assert lp.status == LpStatus.INFEASIBLE
 
 
-def test_solve_lp_bound_overrides_and_extra_rows():
-    # max x + y over the unit box, then x pinned to 0 and x + y <= 0.5 added
-    m = model([-1.0, -1.0], [1, 1], integer=False)
-    lp = solve_lp(m, {0: (0.0, 0.0)}, [(np.array([0, 1]), np.array([1.0, 1.0]), 0.5)])
-    assert lp.status == LpStatus.OPTIMAL
-    assert lp.x == pytest.approx([0.0, 0.5])
-    assert len(lp.duals) == 1
-    assert solve_lp(m, {0: (1.0, 0.0)}).status == LpStatus.INFEASIBLE
-
-
 def test_stack_rows_drops_zeros_and_places_blocks():
     A, b = stack_rows(
         [(0, np.array([[1.0, 0.0]]), [2.0]), (2, np.array([[0.0, -3.0], [0.0, 0.0]]), [1.0, 0.0])], 4
@@ -99,6 +89,40 @@ def test_solve_mip_lazy_rows_are_global():
     assert res.x.sum() == 1.0
 
 
+def test_lazy_row_found_at_one_node_binds_a_later_sibling(monkeypatch):
+    # max x0 + x1 + x2 + x3 with x2 + x3 <= 1.5: the root branches on x2 or
+    # x3, and without the lazy row x0 + x1 <= 1 both children take x0 = x1 = 1
+    solved = []
+    solve_lp = mip.solve_lp
+
+    def recording(model, deadline=math.inf):
+        solved.append((model, solve_lp(model, deadline)))
+        return solved[-1][1]
+
+    calls = []
+
+    def lazy(x):
+        if x[0] + x[1] > 1:
+            calls.append(x.copy())
+            return np.array([0, 1]), np.array([1.0, 1.0]), 1.0
+        return None
+
+    monkeypatch.setattr(mip, "solve_lp", recording)
+    m = model([-1.0, -1.0, -1.0, -1.0], [1, 1, 1, 1], [([0.0, 0.0, 1.0, 1.0], 1.5)])
+    res = solve_mip(m, lazy=lazy)
+    assert res.status == MipStatus.OPTIMAL
+    assert res.objective == pytest.approx(-2.0)
+    assert len(calls) == 1  # found at the first child, never again
+    assert m.A_ub.shape[0] == 1  # the caller's model is left as it was
+    root_x = solved[0][1].x
+    v = next(i for i in (2, 3) if 0 < root_x[i] < 1)
+    first = solved[1][0]
+    sibling = next(lp for node, lp in solved if node.lower[v] != first.lower[v])
+    assert all(node.A_ub.shape[0] == 2 for node, _ in solved[2:])
+    assert sibling.status == LpStatus.OPTIMAL
+    assert sibling.x[0] + sibling.x[1] == pytest.approx(1.0)
+
+
 def test_solve_mip_bound_grid_snaps_bound():
     # objective values live on a 0.5 grid; pruning may use the snapped bound
     res = solve_mip(model([0.5, 0.5], [1, 1], [([-1.0, -1.0], -1.2)]), bound_grid=0.5)
@@ -130,9 +154,3 @@ def test_lp_time_out_keeps_the_node_open(monkeypatch):
     assert res.status == MipStatus.TIMED_OUT and res.x is None
     # both children stay open at the root bound
     assert res.best_bound == pytest.approx(root.objective)
-
-
-def test_solve_mip_optimality_gap_accepts_near_optimal():
-    res = solve_mip(knapsack_model(), optimality_gap=0.5)
-    assert res.status in (MipStatus.OPTIMAL, MipStatus.FEASIBLE)
-    assert res.objective <= -19.0 * 0.5
