@@ -2,10 +2,11 @@
 
 A model is plain arrays addressed by position: objective, bounds and
 integrality per variable, and sparse rows in ``<=`` form (builders negate
-``>=`` rows) plus optional equality rows.  The LP relaxation is delegated
-to HiGHS through scipy; the integer search is a hand-rolled depth-first
+``>=`` rows) plus optional equality rows.  LPs run on HiGHS through the
+binding bundled with scipy; the integer search is a hand-rolled depth-first
 branch-and-bound with a lazy-row hook, most-fractional branching and
-deterministic tie-breaking.
+deterministic tie-breaking.  It keeps one HiGHS handle per search and
+re-solves each node warm from the handle's last basis.
 
 Dual sign convention: ``LpSolution.duals[r]`` belongs to the r-th ``<=``
 row, and the reduced cost of variable v in this minimization is
@@ -16,13 +17,18 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+# scipy's private HiGHS binding, imported from its package: a first import
+# of scipy.optimize by the three-level name made scipy's own import-time
+# docstring work 3-5 times slower (0.1-0.2 s more per process, measured)
+from scipy.optimize._highspy import _core as highspy
+
+HighsModelStatus, _Highs = highspy.HighsModelStatus, highspy._Highs
 
 FEASIBILITY_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
@@ -110,36 +116,86 @@ class MipSolution:
     nodes: int = 0
 
 
+# the options scipy's linprog(method="highs") sets (simplex strategy 1 is
+# dual simplex); HiGHS's defaults otherwise
+HIGHS_OPTIONS = (("output_flag", False), ("presolve", "on"), ("simplex_strategy", 1))
+
+LP_STATUS = {
+    HighsModelStatus.kOptimal: LpStatus.OPTIMAL,
+    HighsModelStatus.kInfeasible: LpStatus.INFEASIBLE,
+    HighsModelStatus.kUnbounded: LpStatus.UNBOUNDED,
+    HighsModelStatus.kTimeLimit: LpStatus.TIMED_OUT,
+}
+
+
+def _join(parts, dtype=float) -> np.ndarray:
+    return np.concatenate([np.zeros(0, dtype=dtype), *parts])
+
+
+def _load(model: LinearModel) -> _Highs:
+    """A new HiGHS handle holding the model: its ``<=`` rows, then its equality rows."""
+    n = len(model.c)
+    blocks = []  # (CSR rows, row lower bounds, row upper bounds)
+    if model.A_ub is not None:
+        blocks.append((model.A_ub, np.full(len(model.b_ub), -np.inf), model.b_ub))
+    if model.A_eq is not None:
+        blocks.append((model.A_eq, model.b_eq, model.b_eq))
+    mats, row_lower, row_upper = zip(*blocks) if blocks else ((), (), ())
+    # HiGHS reads these arrays through bare pointers, so their sizes must agree
+    if {len(model.lower), len(model.upper), *(A.shape[1] for A in mats)} != {n} or any(
+        A.shape[0] != len(hi) for A, _, hi in blocks
+    ):
+        raise ModelError("model arrays disagree in size")
+    # the blocks' CSR arrays joined into one row-wise matrix
+    nnz = np.cumsum([0] + [A.nnz for A in mats])
+    ends = _join([A.indptr[1:] + k for A, k in zip(mats, nnz)], np.int32)
+    highs = _Highs()
+    for name, value in HIGHS_OPTIONS:
+        highs.setOptionValue(name, value)
+    highs.passModel(
+        n, len(ends), nnz[-1], 2, 1, 0.0,  # row-wise matrix, minimise, no offset
+        model.c, model.lower, model.upper, _join(row_lower), _join(row_upper),
+        np.append(0, ends), _join([A.indices for A in mats], np.int32),
+        _join([A.data for A in mats]), np.zeros(n, dtype=np.int32),
+    )
+    return highs
+
+
+def linprog(highs: _Highs, deadline: float) -> HighsModelStatus:
+    """Run HiGHS on the handle until ``deadline`` (``time.monotonic()``).
+
+    The one call into HiGHS's solver.  HiGHS counts ``time_limit`` against
+    the handle's total run time, so each run's budget starts from there.
+    """
+    remaining = max(0.0, deadline - time.monotonic())
+    highs.setOptionValue("time_limit", highs.getRunTime() + remaining)
+    highs.run()
+    return highs.getModelStatus()
+
+
+def _solution(highs: _Highs, status: HighsModelStatus, n_ub: int) -> LpSolution:
+    """The handle's result, with the duals of its first ``n_ub`` rows."""
+    if status not in LP_STATUS:
+        raise ModelError(f"LP solver failure: HiGHS model status {status.name}")
+    if status != HighsModelStatus.kOptimal:
+        return LpSolution(LP_STATUS[status])
+    sol = highs.getSolution()
+    duals = np.array(sol.row_dual[:n_ub])
+    return LpSolution(
+        LpStatus.OPTIMAL, np.array(sol.col_value), duals,
+        float(highs.getInfo().objective_function_value),
+    )
+
+
 def solve_lp(model: LinearModel, deadline: float = math.inf) -> LpSolution:
     """Solve the LP relaxation; deterministic for a fixed input.
 
     HiGHS stops at ``deadline`` (a ``time.monotonic()`` value), which
     gives ``LpStatus.TIMED_OUT``.
     """
-    args = dict(
-        A_ub=model.A_ub,
-        b_ub=model.b_ub if model.A_ub is not None else None,
-        A_eq=model.A_eq,
-        b_eq=model.b_eq,
-        bounds=np.column_stack([model.lower, model.upper]),
-    )
-    options = {"time_limit": max(0.0, deadline - time.monotonic())}
-    res = linprog(model.c, method="highs", options=options, **args)
-    if res.status not in (0, 1, 2, 3):
-        # HiGHS occasionally reports "Unknown" on numerically awkward
-        # models; dual simplex without presolve is a reliable fallback
-        options = {"presolve": False, "time_limit": max(0.0, deadline - time.monotonic())}
-        res = linprog(model.c, method="highs-ds", options=options, **args)
-    if res.status == 1:
-        return LpSolution(LpStatus.TIMED_OUT)
-    if res.status == 2:
-        return LpSolution(LpStatus.INFEASIBLE)
-    if res.status == 3:
-        return LpSolution(LpStatus.UNBOUNDED)
-    if res.status != 0:
-        raise ModelError(f"LP solver failure: {res.message}")
-    duals = res.ineqlin.marginals if model.A_ub is not None else np.zeros(0)
-    return LpSolution(LpStatus.OPTIMAL, res.x, duals, float(res.fun))
+    highs = _load(model)
+    n_ub = 0 if model.A_ub is None else model.A_ub.shape[0]
+    return _solution(highs, linprog(highs, deadline), n_ub)
 
 
 def _most_fractional(x: np.ndarray, integer: np.ndarray) -> Optional[int]:
@@ -158,17 +214,6 @@ def _snap_bound(bound: float, grid: Optional[float]) -> float:
     return math.ceil(bound / grid - 1e-6) * grid
 
 
-def _add_row(model: LinearModel, row: Row) -> LinearModel:
-    """The model with one more ``<=`` row after its own."""
-    indices, coefs, rhs = row
-    block = sparse.csr_matrix(
-        (coefs, (np.zeros(len(indices), dtype=int), indices)), shape=(1, len(model.c))
-    )
-    block.eliminate_zeros()
-    A_ub = block if model.A_ub is None else sparse.vstack([model.A_ub, block], format="csr")
-    return replace(model, A_ub=A_ub, b_ub=np.append(model.b_ub, rhs))
-
-
 def solve_mip(
     model: LinearModel,
     lazy: Optional[Callable[[np.ndarray], Optional[Row]]] = None,
@@ -177,15 +222,18 @@ def solve_mip(
 ) -> MipSolution:
     """Depth-first branch-and-bound over the integer variables.
 
-    A node is the model under its own variable bounds.  Whenever an
-    integral candidate appears, the lazy callback receives its rounded
-    ``x`` and may return a violated ``<=`` row; the row joins the model for
-    every later node and the node is re-solved.  ``bound_grid`` optionally
-    rounds node bounds up to a known objective granularity, which tightens
-    pruning without affecting correctness.  Past ``deadline``
+    A node is the model under its own variable bounds, set on the search's
+    one HiGHS handle.  Whenever an integral candidate appears, the lazy
+    callback receives its rounded ``x`` and may return a violated ``<=``
+    row; the row joins the handle for every later node and the node is
+    re-solved.  The caller's model is left unchanged.  ``bound_grid``
+    optionally rounds node bounds up to a known objective granularity,
+    which tightens pruning without affecting correctness.  Past ``deadline``
     (``time.monotonic()``) the open nodes stay open and the result is
     FEASIBLE or TIMED_OUT.
     """
+    highs = _load(model)
+    columns = np.arange(len(model.c), dtype=np.int32)
     best_obj = math.inf
     best_x: Optional[np.ndarray] = None
     nodes = 0
@@ -206,8 +254,9 @@ def solve_mip(
         if parent_bound >= prune_threshold():
             continue
         nodes += 1
+        highs.changeColsBounds(len(columns), columns, lower, upper)
         while True:
-            lp = solve_lp(replace(model, lower=lower, upper=upper), deadline)
+            lp = _solution(highs, linprog(highs, deadline), 0)
             if lp.status == LpStatus.TIMED_OUT:
                 # the node stays open at its parent's bound
                 timed_out = True
@@ -236,7 +285,8 @@ def solve_mip(
             x = np.where(model.integer, np.round(lp.x), lp.x)
             violated = lazy(x) if lazy is not None else None
             if violated is not None:
-                model = _add_row(model, violated)
+                indices, coefs, rhs = violated
+                highs.addRow(-np.inf, rhs, len(indices), indices, coefs)
                 continue  # re-solve this node with the new row
             if lp.objective < best_obj - FEASIBILITY_TOL:
                 best_obj = lp.objective

@@ -145,11 +145,11 @@ def test_solve_bnp_seed_pricing_obeys_time_limit():
         assert schedule_feasible(schedule, instance).feasible
 
 
-@pytest.mark.parametrize("seed", [10, 1])
-def test_solve_bnp_root_completion_lp_obeys_time_limit(seed):
+@pytest.mark.parametrize("klass, seed", [("MD", 10), ("LD", 1)], ids=["MD8-s10", "LD8-s1"])
+def test_solve_bnp_root_completion_lp_obeys_time_limit(klass, seed):
     # the heuristic fails here, so the root ILP completion runs HiGHS LPs
     # on the whole instance until the deadline
-    instance = generate(GenSpec.default("MD", 8, seed=seed))
+    instance = generate(GenSpec.default(klass, 8, seed=seed))
     t0 = time.monotonic()
     schedule, status, _, _, _ = solve_bnp(instance, BnpConfig(time_limit=5))
     assert time.monotonic() - t0 < 5.75

@@ -2,11 +2,10 @@
 
 import math
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus
 
 from tdmcfg import mip
 from tdmcfg.mip import LinearModel, LpStatus, MipStatus, solve_lp, solve_mip, stack_rows
@@ -92,12 +91,15 @@ def test_solve_mip_lazy_rows_are_global():
 def test_lazy_row_found_at_one_node_binds_a_later_sibling(monkeypatch):
     # max x0 + x1 + x2 + x3 with x2 + x3 <= 1.5: the root branches on x2 or
     # x3, and without the lazy row x0 + x1 <= 1 both children take x0 = x1 = 1
-    solved = []
-    solve_lp = mip.solve_lp
+    solved = []  # per HiGHS run: (column lower bounds, rows, status, x)
+    linprog = mip.linprog
 
-    def recording(model, deadline=math.inf):
-        solved.append((model, solve_lp(model, deadline)))
-        return solved[-1][1]
+    def recording(highs, deadline):
+        status = linprog(highs, deadline)
+        lp = highs.getLp()
+        x = np.array(highs.getSolution().col_value)
+        solved.append((np.array(lp.col_lower_), lp.num_row_, status, x))
+        return status
 
     calls = []
 
@@ -107,20 +109,20 @@ def test_lazy_row_found_at_one_node_binds_a_later_sibling(monkeypatch):
             return np.array([0, 1]), np.array([1.0, 1.0]), 1.0
         return None
 
-    monkeypatch.setattr(mip, "solve_lp", recording)
+    monkeypatch.setattr(mip, "linprog", recording)
     m = model([-1.0, -1.0, -1.0, -1.0], [1, 1, 1, 1], [([0.0, 0.0, 1.0, 1.0], 1.5)])
     res = solve_mip(m, lazy=lazy)
     assert res.status == MipStatus.OPTIMAL
     assert res.objective == pytest.approx(-2.0)
     assert len(calls) == 1  # found at the first child, never again
     assert m.A_ub.shape[0] == 1  # the caller's model is left as it was
-    root_x = solved[0][1].x
+    root_x = solved[0][3]
     v = next(i for i in (2, 3) if 0 < root_x[i] < 1)
     first = solved[1][0]
-    sibling = next(lp for node, lp in solved if node.lower[v] != first.lower[v])
-    assert all(node.A_ub.shape[0] == 2 for node, _ in solved[2:])
-    assert sibling.status == LpStatus.OPTIMAL
-    assert sibling.x[0] + sibling.x[1] == pytest.approx(1.0)
+    _, rows, status, x = next(run for run in solved if run[0][v] != first[v])
+    assert all(run[1] == 2 for run in solved[2:])
+    assert rows == 2 and status == HighsModelStatus.kOptimal
+    assert x[0] + x[1] == pytest.approx(1.0)
 
 
 def test_solve_mip_bound_grid_snaps_bound():
@@ -141,12 +143,13 @@ def test_lp_time_out_keeps_the_node_open(monkeypatch):
     # the root LP solves; the first child's LP runs out of time in HiGHS
     root = solve_lp(knapsack_model())
     limits = []
+    linprog = mip.linprog
 
-    def fake_linprog(c, method, options, **args):
-        limits.append(options["time_limit"])
+    def fake_linprog(highs, deadline):
+        limits.append(deadline - time.monotonic())
         if len(limits) == 1:
-            return linprog(c, method=method, options=options, **args)
-        return SimpleNamespace(status=1, message="Time limit reached")
+            return linprog(highs, deadline)
+        return HighsModelStatus.kTimeLimit
 
     monkeypatch.setattr(mip, "linprog", fake_linprog)
     res = solve_mip(knapsack_model(), deadline=time.monotonic() + 60.0)
@@ -154,3 +157,73 @@ def test_lp_time_out_keeps_the_node_open(monkeypatch):
     assert res.status == MipStatus.TIMED_OUT and res.x is None
     # both children stay open at the root bound
     assert res.best_bound == pytest.approx(root.objective)
+
+
+def test_highs_binding_has_every_method_mip_calls():
+    # mip drives HiGHS through scipy's private binding; fail loudly if a
+    # scipy release renames it or any method mip calls on it
+    from scipy.optimize._highspy._core import _Highs
+
+    for name in (
+        "passModel", "changeColsBounds", "addRow", "run", "getRunTime",
+        "getModelStatus", "getSolution", "getInfo", "setOptionValue",
+    ):
+        assert callable(getattr(_Highs, name, None)), name
+
+
+def test_each_run_on_a_shared_handle_gets_its_own_budget():
+    # HiGHS counts time_limit against the handle's total run time: a
+    # budget shorter than the runs before it must still allow a warm re-run
+    from tdmcfg.ilp import build_ilp
+    from tdmcfg.usecase import GenSpec, generate
+
+    relaxation = build_ilp(generate(GenSpec.default("BD", 8, seed=3)))
+    highs = mip._load(relaxation)
+    assert mip.linprog(highs, math.inf) == HighsModelStatus.kOptimal
+    budget = highs.getRunTime() / 2
+    assert highs.getRunTime() > budget > 0.01
+    # one simplex step at least: move a variable off its value of 1
+    x = np.array(highs.getSolution().col_value)
+    v = np.flatnonzero((x > 0.5) & (relaxation.lower < 0.5))[:1].astype(np.int32)
+    highs.changeColsBounds(1, v, np.zeros(1), np.zeros(1))
+    assert mip.linprog(highs, time.monotonic() + budget) == HighsModelStatus.kOptimal
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solve_mip_agrees_with_highs_milp(seed):
+    # random binary programs, some infeasible: the warm search re-solves
+    # after backtracking and after infeasible nodes on one handle
+    from scipy.optimize import LinearConstraint, milp
+
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 13)), int(rng.integers(1, 9))
+    c = rng.integers(-10, 11, n).astype(float)
+    A = rng.integers(-5, 6, (m, n)).astype(float)
+    b = rng.integers(-5, 12, m).astype(float)
+    res = solve_mip(model(c, np.ones(n), zip(A, b)))
+    ref = milp(c, constraints=LinearConstraint(A, -np.inf, b), integrality=np.ones(n),
+               bounds=(0, 1))
+    assert ref.status in (0, 2)
+    if ref.status == 2:
+        assert res.status == MipStatus.INFEASIBLE
+    else:
+        assert res.status == MipStatus.OPTIMAL
+        assert res.objective == pytest.approx(ref.fun)
+        assert np.all(A @ res.x <= b + 1e-9)
+
+
+def test_unexpected_highs_status_raises_model_error(monkeypatch):
+    monkeypatch.setattr(mip, "linprog", lambda highs, deadline: HighsModelStatus.kUnknown)
+    with pytest.raises(mip.ModelError, match="kUnknown"):
+        solve_lp(knapsack_model())
+
+
+def test_model_arrays_of_other_sizes_are_refused():
+    # HiGHS would read past the end of a short array
+    short_bounds = knapsack_model()
+    short_bounds.upper = short_bounds.upper[:2]
+    short_rhs = knapsack_model()
+    short_rhs.b_ub = np.zeros(0)
+    for m in (short_bounds, short_rhs):
+        with pytest.raises(mip.ModelError, match="disagree in size"):
+            solve_lp(m)
