@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .colgen import ColumnPool, Column, NodeInfeasibleError, column_generation
+from .colgen import ColumnPool, Column, NodeInfeasibleError, SubModels, column_generation
 from .heuristics import allocated_slots, best_of_runs
 from .ilp import solve_direct
 from .mip import MipStatus
@@ -182,7 +182,8 @@ def complete_with_ilp(
 
 
 def _warm_start(
-    instance: ProblemInstance, config: BnpConfig, pool: ColumnPool, time_limit: float
+    instance: ProblemInstance, config: BnpConfig, pool: ColumnPool, time_limit: float,
+    sub_models: Optional[SubModels] = None,
 ) -> Optional[Schedule]:
     """Run the generative heuristic for the incumbent and seed columns."""
     runs = config.heuristic_runs
@@ -193,7 +194,9 @@ def _warm_start(
             for c in instance.clients
         )
         runs = 1 if all_bd else 8
-    best, found = best_of_runs(instance, runs, config.seed, time_limit)
+    best, found = best_of_runs(
+        instance, runs, config.seed, time_limit, sub_models=sub_models
+    )
     for schedule in found:
         for client in instance.clients:
             pool.add(Column(client.id, schedule.mask(client.id)))
@@ -242,7 +245,9 @@ def solve_bnp(
     pos_pct, neg_pct = default_completion_thresholds(n)
 
     pool = ColumnPool()
-    incumbent = _warm_start(instance, config, pool, limit / 3)
+    # pricing sub-models shared by the heuristic and every node, for this solve only
+    sub_models: SubModels = {}
+    incumbent = _warm_start(instance, config, pool, limit / 3, sub_models)
     stats.heuristic_feasible = incumbent is not None
     if incumbent is not None:
         best_slots = allocated_slots(incumbent)
@@ -279,6 +284,7 @@ def solve_bnp(
             res = column_generation(
                 pool, node.decisions, instance,
                 upper_bound=(best_slots - 1 + 1e-9) / f, deadline=deadline,
+                sub_models=sub_models,
             )
         except NodeInfeasibleError:
             stats.nodes_infeasible += 1

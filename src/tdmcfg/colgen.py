@@ -20,6 +20,7 @@ client.  The dual-selection LP has one ``lam`` per slot and then one
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -231,6 +232,16 @@ def canonical_duals(
     return DualPrices(lam, sigma)
 
 
+# pricing sub-models by (client, t, lower.tobytes(), upper.tobytes()), each
+# built with the first cost vector it met; one dict serves one public solve
+SubModels = dict[tuple[ClientRequirement, int, bytes, bytes], LinearModel]
+
+
+def _prefix_costs(cost: np.ndarray) -> np.ndarray:
+    """sum_s cost_s * (S_s - S_{s-1}) as costs of S_0..S_f."""
+    return np.concatenate([[-cost[0]], cost[:-1] - cost[1:], [cost[-1]]])
+
+
 def build_sub_model(
     client: ClientRequirement,
     cost: np.ndarray,
@@ -270,8 +281,9 @@ def build_sub_model(
     )
     lo, hi = np.zeros(f + 1), np.full(f + 1, float(t))
     lo[f], hi[0] = t, 0.0
-    c = np.concatenate([[-cost[0]], cost[:-1] - cost[1:], [cost[-1]]])
-    return LinearModel(c, lo, hi, np.zeros(f + 1, dtype=bool), A_ub, w.astype(float))
+    return LinearModel(
+        _prefix_costs(cost), lo, hi, np.zeros(f + 1, dtype=bool), A_ub, w.astype(float)
+    )
 
 
 def price_client(
@@ -281,6 +293,8 @@ def price_client(
     decisions: Sequence[tuple] = (),
     deadline: float = math.inf,
     tie_break: Optional[np.ndarray] = None,
+    *,
+    sub_models: Optional[SubModels] = None,
 ) -> tuple[Column, float]:
     """Minimize the reduced cost of a new column for one client, exactly.
 
@@ -292,13 +306,16 @@ def price_client(
     from below, and the bound grows with t: the search stops once it
     reaches the best mask found.  ``tie_break`` (slot s at index s - 1)
     adds an epsilon-scaled per-slot cost that steers the choice among
-    equal-cost columns without disturbing the primary objective.  Returns the column and its reduced
+    equal-cost columns without disturbing the primary objective.
+    ``sub_models`` holds the LPs built so far in the caller's solve; only
+    the objective of a held LP changes.  Returns the column and its reduced
     cost recomputed from the mask, free of any tie-break perturbation.
     Raises NodeInfeasibleError when no mask meets the client's
     requirements under the branching decisions, and LpTimeoutError when an
     LP reaches ``deadline``.
     """
     f = frame_size
+    sub_models = {} if sub_models is None else sub_models
     lower, upper = mask_bounds(client.id, f, decisions)
     if (lower > upper).any():
         raise NodeInfeasibleError(client.id)
@@ -317,7 +334,11 @@ def price_client(
         mask = lower.copy()
         mask[free[:t - forced]] = 1.0
         if not client_feasible(mask.astype(int), client, f).feasible:
-            lp = solve_lp(build_sub_model(client, cost, lower, upper, t), deadline=deadline)
+            key = (client, t, lower.tobytes(), upper.tobytes())
+            model = sub_models.get(key)
+            if model is None:
+                model = sub_models[key] = build_sub_model(client, cost, lower, upper, t)
+            lp = solve_lp(dataclasses.replace(model, c=_prefix_costs(cost)), deadline=deadline)
             if lp.status == LpStatus.TIMED_OUT:
                 raise LpTimeoutError(f"pricing LP of client {client.id}")
             if lp.status != LpStatus.OPTIMAL:
@@ -344,7 +365,7 @@ def zero_duals(instance: ProblemInstance) -> DualPrices:
 
 def ensure_seed_columns(
     pool: ColumnPool, decisions: Sequence[tuple], instance: ProblemInstance,
-    deadline: float = math.inf,
+    deadline: float = math.inf, *, sub_models: Optional[SubModels] = None,
 ) -> None:
     """Guarantee every client a column that obeys the decisions.
 
@@ -355,7 +376,8 @@ def ensure_seed_columns(
     for client in instance.clients:
         if not pool.admissible(client.id, decisions):
             column, _ = price_client(
-                client, duals, instance.frame_size, decisions, deadline=deadline
+                client, duals, instance.frame_size, decisions, deadline=deadline,
+                sub_models=sub_models,
             )
             pool.add(column)
 
@@ -382,6 +404,7 @@ def column_generation(
     *,
     upper_bound: float = math.inf,
     deadline: float = math.inf,
+    sub_models: Optional[SubModels] = None,
 ) -> ColGenResult:
     """Iterate master solves and pricing until no client prices negatively.
 
@@ -393,8 +416,10 @@ def column_generation(
     ``deadline`` the loop returns "timed_out" with the best bound it has:
     the best Lagrangian value, or the slot-bound sum if that is higher.
     ``trace`` receives one (iteration, master objective,
-    {client id: reduced cost}) per iteration.
+    {client id: reduced cost}) per iteration.  ``sub_models`` (a new dict
+    by default) is handed to every pricing call.
     """
+    sub_models = {} if sub_models is None else sub_models
     f = instance.frame_size
     n = instance.n_clients
     master: Optional[MasterSolution] = None
@@ -407,7 +432,7 @@ def column_generation(
         return ColGenResult(master, bound, status, iteration, added_total, lagrangians)
 
     try:
-        ensure_seed_columns(pool, decisions, instance, deadline)
+        ensure_seed_columns(pool, decisions, instance, deadline, sub_models=sub_models)
         while True:
             master, lp = solve_master(pool, decisions, instance, deadline)
             iteration += 1
@@ -425,7 +450,7 @@ def column_generation(
                     raise LpTimeoutError("between pricing calls")
                 column, xi = price_client(
                     client, duals, f, decisions, deadline=deadline,
-                    tie_break=total_use - slot_use[client.id],
+                    tie_break=total_use - slot_use[client.id], sub_models=sub_models,
                 )
                 priced.append((client, column, xi))
             if trace is not None:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .colgen import DualPrices, LpTimeoutError, NodeInfeasibleError, price_client
+from .colgen import DualPrices, LpTimeoutError, NodeInfeasibleError, SubModels, price_client
 from .model import ProblemInstance, Schedule, slot_bound_sum, slot_lower_bound
 from .verify import schedule_feasible
 
@@ -59,13 +59,16 @@ def slot_prices(
 
 
 def generative(
-    instance: ProblemInstance, *, seed: int = 0, deadline: float = math.inf
+    instance: ProblemInstance, *, seed: int = 0, deadline: float = math.inf,
+    sub_models: Optional[SubModels] = None,
 ) -> tuple[Optional[Schedule], str]:
     """Round-robin pricing runs until the composite schedule is collision-free.
 
     ``seed`` drives the random tie-breaks; past ``deadline`` (a
-    ``time.monotonic()`` value) the run gives up.
+    ``time.monotonic()`` value) the run gives up.  ``sub_models`` (a new
+    dict by default) is handed to every pricing call.
     """
+    sub_models = {} if sub_models is None else sub_models
     rng = random.Random(seed)
     f = instance.frame_size
     n = instance.n_clients
@@ -82,7 +85,8 @@ def generative(
         duals = DualPrices(lam=prices, sigma={})
         try:
             column, _ = price_client(
-                clients[position], duals, f, deadline=deadline, tie_break=tie_break
+                clients[position], duals, f, deadline=deadline, tie_break=tie_break,
+                sub_models=sub_models,
             )
         except (NodeInfeasibleError, LpTimeoutError):
             return None, NO_FEASIBLE
@@ -110,18 +114,24 @@ def best_of_runs(
     runs: int,
     seed: int = 0,
     time_limit: Optional[float] = None,
+    *,
+    sub_models: Optional[SubModels] = None,
 ) -> tuple[Optional[Schedule], list[Schedule]]:
     """Up to ``runs`` generative runs with seeds ``seed``, ``seed + 1``, ...;
     the schedule with the fewest slots (the first on ties) and every feasible
     schedule in run order.  Stops at the slot-bound sum, which none can beat.
     ``time_limit`` (seconds) covers all runs; a run begun after it ends at once.
+    All runs share ``sub_models`` (a new dict by default).
     """
+    sub_models = {} if sub_models is None else sub_models
     floor = slot_bound_sum(instance)
     deadline = time.monotonic() + (math.inf if time_limit is None else time_limit)
     best: Optional[Schedule] = None
     found: list[Schedule] = []
     for k in range(runs):
-        schedule, _ = generative(instance, seed=seed + k, deadline=deadline)
+        schedule, _ = generative(
+            instance, seed=seed + k, deadline=deadline, sub_models=sub_models
+        )
         if schedule is None:
             continue
         found.append(schedule)

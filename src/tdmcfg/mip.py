@@ -6,7 +6,8 @@ integrality per variable, and sparse rows in ``<=`` form (builders negate
 binding bundled with scipy; the integer search is a hand-rolled depth-first
 branch-and-bound with a lazy-row hook, most-fractional branching and
 deterministic tie-breaking.  It keeps one HiGHS handle per search and
-re-solves each node warm from the handle's last basis.
+re-solves each node warm from the handle's last basis; every one-shot LP
+is passed to one long-lived handle, which the new model resets.
 
 Dual sign convention: ``LpSolution.duals[r]`` belongs to the r-th ``<=``
 row, and the reduced cost of variable v in this minimization is
@@ -15,6 +16,7 @@ c[v] - sum_r duals[r] * A_ub[r, v].
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -132,8 +134,22 @@ def _join(parts, dtype=float) -> np.ndarray:
     return np.concatenate([np.zeros(0, dtype=dtype), *parts])
 
 
-def _load(model: LinearModel) -> _Highs:
-    """A new HiGHS handle holding the model: its ``<=`` rows, then its equality rows."""
+def _new_handle() -> _Highs:
+    highs = _Highs()
+    for name, value in HIGHS_OPTIONS:
+        highs.setOptionValue(name, value)
+    return highs
+
+
+# the handle every solve_lp call passes its model to, made on first use
+_lp_handle = functools.cache(_new_handle)
+
+
+def _load(model: LinearModel, highs: Optional[_Highs] = None) -> _Highs:
+    """``highs`` (a new handle by default) holding just the model: its ``<=``
+    rows, then its equality rows.  Passing a model resets the handle's
+    model, basis and solution; its options and run time carry over.
+    """
     n = len(model.c)
     blocks = []  # (CSR rows, row lower bounds, row upper bounds)
     if model.A_ub is not None:
@@ -149,9 +165,7 @@ def _load(model: LinearModel) -> _Highs:
     # the blocks' CSR arrays joined into one row-wise matrix
     nnz = np.cumsum([0] + [A.nnz for A in mats])
     ends = _join([A.indptr[1:] + k for A, k in zip(mats, nnz)], np.int32)
-    highs = _Highs()
-    for name, value in HIGHS_OPTIONS:
-        highs.setOptionValue(name, value)
+    highs = _new_handle() if highs is None else highs
     highs.passModel(
         n, len(ends), nnz[-1], 2, 1, 0.0,  # row-wise matrix, minimise, no offset
         model.c, model.lower, model.upper, _join(row_lower), _join(row_upper),
@@ -191,9 +205,10 @@ def solve_lp(model: LinearModel, deadline: float = math.inf) -> LpSolution:
     """Solve the LP relaxation; deterministic for a fixed input.
 
     HiGHS stops at ``deadline`` (a ``time.monotonic()`` value), which
-    gives ``LpStatus.TIMED_OUT``.
+    gives ``LpStatus.TIMED_OUT``.  Every call passes its model to one
+    process-wide HiGHS handle, so calls must not overlap (no threads).
     """
-    highs = _load(model)
+    highs = _load(model, _lp_handle())
     n_ub = 0 if model.A_ub is None else model.A_ub.shape[0]
     return _solution(highs, linprog(highs, deadline), n_ub)
 

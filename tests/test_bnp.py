@@ -270,3 +270,33 @@ def test_solve_bnp_stats_are_populated(golden_instance):
     for lb, estimates in stats.node_log:
         for est in estimates:
             assert est <= lb + 1e-9
+
+
+def test_solves_in_one_process_share_no_state(monkeypatch):
+    # pricing sub-models live for one solve and the LP handle is reset per
+    # model: solving another instance in between changes nothing
+    corpus = Path(__file__).resolve().parents[1] / "perfbench/corpus/bnp-tree"
+    ld = load_instance(corpus / "ld4-s7.json")
+    hd_video = load_instance(Path(tdmcfg.__file__).parent / "data" / "hd-video.json")
+    caches = []  # per solve, the sub-model dict of every heuristic run and node
+    for module, name in ((heuristics, "generative"), (bnp, "column_generation")):
+        fn = getattr(module, name)
+
+        def recording(*args, _fn=fn, **kwargs):
+            caches[-1].append(kwargs["sub_models"])
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    results = []
+    for instance in (ld, hd_video, ld):
+        caches.append([])
+        results.append(solve_bnp(instance))
+    first, _, again = results
+    assert first[4].nodes_opened > 0  # the tree is searched, not just the heuristic
+    assert first[:4] == again[:4]
+    assert first[4].as_dict() == again[4].as_dict()
+    assert first[4].node_log == again[4].node_log
+    # one dict per solve, shared by the heuristic and every node
+    for used in caches:
+        assert used and all(c is used[0] for c in used)
+    assert caches[0][0] is not caches[2][0]

@@ -53,9 +53,9 @@ def test_solve_heuristic_passes_time_limit(monkeypatch, capsys, golden_path):
     deadlines = []
     generative = heuristics.generative
 
-    def recording(instance, *, seed, deadline):
+    def recording(instance, *, deadline, **kwargs):
         deadlines.append(deadline)
-        return generative(instance, seed=seed, deadline=deadline)
+        return generative(instance, deadline=deadline, **kwargs)
 
     monkeypatch.setattr(heuristics, "generative", recording)
     start = time.monotonic()

@@ -269,3 +269,70 @@ def test_master_holds_only_admissible_columns(golden_instance, golden_seed_colum
     ]
     assert keys == admissible == [(1, 0), (2, 0)]
     assert len(model.c) == len(admissible) + golden_instance.frame_size
+
+
+def test_shared_sub_models_price_like_fresh_ones(monkeypatch):
+    # one cache over many clients, prices and decision sets: every answer
+    # is bitwise the answer priced without it, each sub-model is built
+    # once per key, and a cached model's objective never changes
+    from conftest import random_instance
+
+    shared_run = [False]
+    built, lps = [], []  # the shared run's builds (key, objective) and LPs
+    build, solve = colgen.build_sub_model, colgen.solve_lp
+
+    def counting_build(client, cost, lower, upper, t):
+        m = build(client, cost, lower, upper, t)
+        if shared_run[0]:
+            built.append(((client, t, lower.tobytes(), upper.tobytes()), m.c.copy()))
+        return m
+
+    def counting_solve(*args, **kwargs):
+        lps.extend([1] if shared_run[0] else [])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(colgen, "build_sub_model", counting_build)
+    monkeypatch.setattr(colgen, "solve_lp", counting_solve)
+    rng = random.Random(7)
+    sub_models = {}
+    priced = 0
+    for _ in range(12):
+        instance = random_instance(rng, max_clients=3, max_frame=11)
+        f = instance.frame_size
+        decision_sets = [()] + [
+            tuple(
+                (rng.choice(instance.clients).id, s, rng.random() < 0.3)
+                for s in rng.sample(range(1, f + 1), rng.randint(1, 3))
+            )
+            for _ in range(2)
+        ]
+        for _ in range(3):
+            duals = DualPrices(
+                np.array([rng.choice([0.0, rng.random()]) for _ in range(f)]),
+                {c.id: rng.random() for c in instance.clients},
+            )
+            tie_break = np.array([rng.random() for _ in range(f)])
+            for client in instance.clients:
+                for decisions in decision_sets:
+                    answers = []
+                    for cache in (sub_models, None):
+                        shared_run[0] = cache is not None
+                        try:
+                            answers.append(price_client(
+                                client, duals, f, decisions, tie_break=tie_break,
+                                sub_models=cache,
+                            ))
+                        except NodeInfeasibleError:
+                            answers.append(None)
+                    shared, fresh = answers
+                    assert (shared is None) == (fresh is None)
+                    if shared is not None:
+                        priced += 1
+                        assert shared[0].mask == fresh[0].mask
+                        assert shared[1] == fresh[1]  # bitwise
+    keys = [key for key, _ in built]
+    assert priced > 100 and len(keys) == len(set(keys)) == len(sub_models) > 10
+    for key, c in built:
+        assert np.array_equal(sub_models[key].c, c)
+    # the shared run solved more LPs than it built: cached models were reused
+    assert len(lps) > len(built)

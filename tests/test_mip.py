@@ -227,3 +227,66 @@ def test_model_arrays_of_other_sizes_are_refused():
     for m in (short_bounds, short_rhs):
         with pytest.raises(mip.ModelError, match="disagree in size"):
             solve_lp(m)
+
+
+def test_reused_handle_matches_fresh_handles(monkeypatch, golden_instance, golden_seed_columns):
+    # solve_lp passes every model to one handle; passModel must reset it so
+    # that each answer is bitwise the answer of a new handle
+    from fractions import Fraction
+
+    from tdmcfg import colgen
+    from tdmcfg.colgen import ColumnPool, build_sub_model, canonical_duals, solve_master
+    from tdmcfg.model import ClientRequirement
+
+    f = 10
+    client = ClientRequirement(1, "c1", Fraction(3, 10), Fraction(3))
+    cost = np.random.default_rng(0).uniform(0.1, 1.0, f)
+    pricing = build_sub_model(client, cost, np.zeros(f), np.ones(f), 4)
+    pool = ColumnPool()
+    for column in golden_seed_columns:
+        pool.add(column)
+    master, _ = solve_master(pool, (), golden_instance)
+    captured = []
+    monkeypatch.setattr(colgen, "solve_lp", lambda m, deadline: captured.append(m) or solve_lp(m))
+    canonical_duals(pool, (), golden_instance, master.objective)
+    monkeypatch.undo()
+    (dual_selection,) = captured
+    assert dual_selection.A_eq is not None
+    infeasible = model([1.0], [1], [([-1.0], -2.0)], integer=False)
+
+    handles = []
+    linprog = mip.linprog
+    monkeypatch.setattr(mip, "linprog", lambda h, d: handles.append(h) or linprog(h, d))
+    past = time.monotonic() - 1.0
+    steps = [
+        (pricing, math.inf, LpStatus.OPTIMAL),
+        (dual_selection, math.inf, LpStatus.OPTIMAL),
+        (infeasible, math.inf, LpStatus.INFEASIBLE),
+        (pricing, past, LpStatus.TIMED_OUT),
+        (pricing, math.inf, LpStatus.OPTIMAL),
+    ]
+    for m, deadline, status in steps:
+        shared = solve_lp(m, deadline)
+        highs = mip._load(m)
+        fresh = mip._solution(highs, linprog(highs, deadline), m.A_ub.shape[0])
+        assert shared.status == fresh.status == status
+        for a, b in ((shared.x, fresh.x), (shared.duals, fresh.duals)):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert np.array_equal([shared.objective], [fresh.objective], equal_nan=True)
+    assert len(handles) == len(steps) and all(h is mip._lp_handle() for h in handles)
+
+
+def test_each_solve_lp_gets_its_own_budget():
+    # the shared handle's run time grows with every LP it solves; a budget
+    # shorter than that total must still let the next LP finish
+    from tdmcfg.ilp import build_ilp
+    from tdmcfg.usecase import GenSpec, generate
+
+    relaxation = build_ilp(generate(GenSpec.default("BD", 8, seed=3)))
+    highs = mip._lp_handle()
+    before = highs.getRunTime()
+    assert solve_lp(relaxation).status == LpStatus.OPTIMAL
+    budget = (highs.getRunTime() - before) / 2
+    assert budget > 0.01
+    small = model([1.0, 2.0], [10, 10], [([-1.0, -1.0], -4.0)], integer=False)
+    assert solve_lp(small, time.monotonic() + budget).status == LpStatus.OPTIMAL
