@@ -230,7 +230,9 @@ def solve_bnp(
         # otherwise the search is complete
         if open_bound * f - 1e-6 <= best_slots - 1:
             status = MipStatus.TIMED_OUT if incumbent is None else MipStatus.FEASIBLE
-            return incumbent, status, phi, min(open_bound, 1.0), stats  # phi never exceeds 1
+            # phi is a whole number of slots over f, and never exceeds 1
+            bound = min(math.ceil(open_bound * f - 1e-6) / f, 1.0)
+            return incumbent, status, phi, bound, stats
         if incumbent is None:
             return None, MipStatus.INFEASIBLE, None, math.inf, stats
         return incumbent, MipStatus.OPTIMAL, phi, float(phi), stats
@@ -298,9 +300,12 @@ def solve_bnp(
             stats.nodes_pruned += 1
             stats.pruned_bounds.append(res.lower_bound)
             continue
+        # a node that goes back on the stack keeps the bound its parent
+        # proved if its own run proves less
+        reopened = BnpNode(node.decisions, max(node.local_bound, res.lower_bound))
         node = BnpNode(node.decisions, res.lower_bound)
         if res.status == "timed_out":
-            stack.append(node)
+            stack.append(reopened)
             break
         master = res.master
         if (
@@ -330,7 +335,7 @@ def solve_bnp(
             stats.completions += 1
             schedule, status = complete_with_ilp(node, instance, deadline)
             if status == MipStatus.TIMED_OUT:
-                stack.append(node)
+                stack.append(reopened)
                 break
             improve(schedule)
             continue

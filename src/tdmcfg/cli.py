@@ -18,7 +18,7 @@ from . import serialize
 from .bnp import BnpConfig, solve_bnp
 from .heuristics import best_of_runs, continuous_allocation
 from .ilp import solve_direct
-from .model import ProblemInstance, Schedule, allocated_rate, service_latency
+from .model import ProblemInstance, Schedule, allocated_rate, latency_slot_bound, service_latency
 from .usecase import GenSpec, GenerationExhaustedError, generate
 from .verify import schedule_feasible
 
@@ -169,8 +169,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         name = f"{args.klass.lower()}_{args.n}_{k:03d}.json"
         serialize.save_instance(instance, out_dir / name)
         total = sum(c.required_rate for c in instance.clients)
-        from .model import latency_slot_bound
-
         lat_load = Fraction(
             sum(latency_slot_bound(c, instance.frame_size) for c in instance.clients),
             instance.frame_size,
@@ -208,8 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
-def _bench_one(job: tuple) -> dict:
-    path, method, time_limit, seed = job
+def _bench_one(path: Path, method: str, time_limit: float, seed: int) -> dict:
     instance = serialize.load_instance(path)
     t0 = time.monotonic()
     try:
@@ -241,14 +238,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with open(manifest, newline="") as fh:
         paths = [base / row["instance"] for row in csv.DictReader(fh)]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    jobs = [(p, m, args.time_limit, args.seed) for p in paths for m in methods]
-    if args.workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_bench_one, jobs))
-    else:
-        results = [_bench_one(job) for job in jobs]
+    results = [_bench_one(p, m, args.time_limit, args.seed) for p in paths for m in methods]
 
     # best phi per instance across methods, for distance-from-best
     best: dict[str, Fraction] = {}
@@ -352,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--methods", default="bnp,heuristic")
     bench.add_argument("--time-limit", type=float, default=3000.0)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--workers", type=int, default=1)
     bench.add_argument("--out", default=None, help="output CSV path")
     bench.set_defaults(func=cmd_bench)
     return parser

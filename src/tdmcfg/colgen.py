@@ -148,14 +148,12 @@ def build_master(
     m = len(keys)
     cap = np.hstack([masks.T, -np.eye(f)])
     cvx = np.hstack([-np.equal.outer(np.arange(n), owner).astype(float), np.zeros((n, f))])
-    A_ub, b_ub = stack_rows([(0, cap, np.ones(f)), (0, cvx, -np.ones(n))], m + f)
     model = LinearModel(
         np.concatenate([masks.sum(axis=1) / f, np.full(f, M_PRIME)]),
         np.zeros(m + f),
         np.concatenate([np.full(m, math.inf), np.full(f, float(n))]),
         np.zeros(m + f, dtype=bool),
-        A_ub,
-        b_ub,
+        *stack_rows([(0, cap, np.ones(f)), (0, cvx, -np.ones(n))], m + f),
     )
     return model, keys
 
@@ -208,19 +206,19 @@ def canonical_duals(
     f = instance.frame_size
     n = instance.n_clients
     _, masks, owner = _admissible_columns(pool, decisions, instance)
-    # reduced cost of every admissible column >= 0
+    # reduced cost of every admissible column >= 0, then strong duality
     rc = np.hstack([-masks, np.equal.outer(owner, np.arange(n)).astype(float)])
-    A_ub, b_ub = stack_rows([(0, rc, masks.sum(axis=1) / f)], f + n)
-    A_eq, b_eq = stack_rows(
-        [(0, np.concatenate([-np.ones(f), np.ones(n)])[None, :], [master_objective])],
-        f + n,
+    duality = np.concatenate([-np.ones(f), np.ones(n)])[None, :]
+    A, row_lower, row_upper = stack_rows(
+        [(0, rc, masks.sum(axis=1) / f), (0, duality, [master_objective])], f + n
     )
+    row_lower[-1] = master_objective  # the one equality row
     model = LinearModel(
         np.concatenate([np.ones(f), np.zeros(n)]),
         np.zeros(f + n),
         np.concatenate([np.full(f, M_PRIME), np.full(n, math.inf)]),
         np.zeros(f + n, dtype=bool),
-        A_ub, b_ub, A_eq, b_eq,
+        A, row_lower, row_upper,
     )
     lp = solve_lp(model, deadline=deadline)
     if lp.status != LpStatus.OPTIMAL:
@@ -232,9 +230,10 @@ def canonical_duals(
     return DualPrices(lam, sigma)
 
 
-# pricing sub-models by (client, t, lower.tobytes(), upper.tobytes()), each
-# built with the first cost vector it met; one dict serves one public solve
-SubModels = dict[tuple[ClientRequirement, int, bytes, bytes], LinearModel]
+# pricing sub-models by (client, frame size, slot count t); equal clients
+# can meet in instances of different frame sizes.  One dict serves one
+# public solve
+SubModels = dict[tuple[ClientRequirement, int, int], LinearModel]
 
 
 def _prefix_costs(cost: np.ndarray) -> np.ndarray:
@@ -242,27 +241,23 @@ def _prefix_costs(cost: np.ndarray) -> np.ndarray:
     return np.concatenate([[-cost[0]], cost[:-1] - cost[1:], [cost[-1]]])
 
 
-def build_sub_model(
-    client: ClientRequirement,
-    cost: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    t: int,
-) -> LinearModel:
+def build_sub_model(client: ClientRequirement, frame_size: int, t: int) -> LinearModel:
     """Pricing LP of one client at a fixed slot count t, over prefix sums.
 
     Variable s is S_s, the slots held among slots 1..s, for s = 0..f, with
     S_0 = 0 and S_f = t fixed by their bounds.  Every row is
-    S_a - S_b <= w: the box lower_s <= S_s - S_{s-1} <= upper_s, and for
-    each window start k and need r the shortest window that needs r slots
-    (a window that wraps past slot f holds t - S_k + S_{k+j-f} of them).
-    Difference rows make the matrix totally unimodular, so every vertex
-    is an integral mask.  The objective sum_s cost_s * (S_s - S_{s-1}) is
-    written over S.
+    S_a - S_b <= w.  The first 2f rows are the slot box, S_s - S_{s-1} <=
+    upper_s and then S_{s-1} - S_s <= -lower_s, built for undecided slots
+    (upper 1, lower 0).  After them, for each window start k and need r,
+    comes the shortest window that needs r slots (a window that wraps past
+    slot f holds t - S_k + S_{k+j-f} of them).  Difference rows make the
+    matrix totally unimodular, so every vertex is an integral mask.  The
+    matrix does not depend on the node's decisions or the slot costs:
+    ``price_client`` sets the box's right-hand sides and the objective.
     """
-    f = len(cost)
+    f = frame_size
     s = np.arange(1, f + 1)
-    a, b, w = [s, s - 1], [s - 1, s], [upper, -lower]
+    a, b, w = [s, s - 1], [s - 1, s], [np.ones(f), np.zeros(f)]
     if client.required_rate > 0:
         j = np.array(window_lengths(client.effective_latency(f), f, t), dtype=int)
         need = np.arange(1, len(j) + 1)[:, None]
@@ -276,13 +271,14 @@ def build_sub_model(
     m = len(w)
     # row i holds +1 at column a[i] and -1 at column b[i]
     indices = np.column_stack([a, b]).ravel()
-    A_ub = sparse.csr_matrix(
+    A = sparse.csr_matrix(
         (np.tile([1.0, -1.0], m), indices, np.arange(0, 2 * m + 1, 2)), shape=(m, f + 1)
     )
     lo, hi = np.zeros(f + 1), np.full(f + 1, float(t))
     lo[f], hi[0] = t, 0.0
     return LinearModel(
-        _prefix_costs(cost), lo, hi, np.zeros(f + 1, dtype=bool), A_ub, w.astype(float)
+        np.zeros(f + 1), lo, hi, np.zeros(f + 1, dtype=bool),
+        A, np.full(m, -np.inf), w,
     )
 
 
@@ -307,12 +303,13 @@ def price_client(
     reaches the best mask found.  ``tie_break`` (slot s at index s - 1)
     adds an epsilon-scaled per-slot cost that steers the choice among
     equal-cost columns without disturbing the primary objective.
-    ``sub_models`` holds the LPs built so far in the caller's solve; only
-    the objective of a held LP changes.  Returns the column and its reduced
-    cost recomputed from the mask, free of any tie-break perturbation.
-    Raises NodeInfeasibleError when no mask meets the client's
-    requirements under the branching decisions, and LpTimeoutError when an
-    LP reaches ``deadline``.
+    ``sub_models`` holds the LPs built so far in the caller's solve, one
+    per (client, f, t); each solve sets a held LP's objective and the
+    right-hand sides of its slot box from the decisions.  Returns the
+    column and its reduced cost recomputed from the mask, free of any
+    tie-break perturbation.  Raises NodeInfeasibleError when no mask meets
+    the client's requirements under the branching decisions, and
+    LpTimeoutError when an LP reaches ``deadline``.
     """
     f = frame_size
     sub_models = {} if sub_models is None else sub_models
@@ -327,6 +324,8 @@ def price_client(
     free = free[np.argsort(cost[free], kind="stable")]
     # floor[i]: cost of the forced slots and the i cheapest free ones
     floor = cost[lower == 1].sum() + np.concatenate([[0.0], np.cumsum(cost[free])])
+    # the sub-models' objective and the right-hand sides of their slot box
+    prefix_costs, box = _prefix_costs(cost), np.concatenate([upper, -lower])
     best, best_cost = None, math.inf
     for t in range(max(slot_lower_bound(client, f), forced), forced + len(free) + 1):
         if floor[t - forced] >= best_cost - 1e-12:
@@ -334,11 +333,14 @@ def price_client(
         mask = lower.copy()
         mask[free[:t - forced]] = 1.0
         if not client_feasible(mask.astype(int), client, f).feasible:
-            key = (client, t, lower.tobytes(), upper.tobytes())
-            model = sub_models.get(key)
+            model = sub_models.get((client, f, t))
             if model is None:
-                model = sub_models[key] = build_sub_model(client, cost, lower, upper, t)
-            lp = solve_lp(dataclasses.replace(model, c=_prefix_costs(cost)), deadline=deadline)
+                model = sub_models[client, f, t] = build_sub_model(client, f, t)
+            row_upper = np.concatenate([box, model.row_upper[2 * f:]])
+            lp = solve_lp(
+                dataclasses.replace(model, c=prefix_costs, row_upper=row_upper),
+                deadline=deadline,
+            )
             if lp.status == LpStatus.TIMED_OUT:
                 raise LpTimeoutError(f"pricing LP of client {client.id}")
             if lp.status != LpStatus.OPTIMAL:

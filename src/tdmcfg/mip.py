@@ -1,17 +1,19 @@
 """Minimal binary-LP kernel: LP relaxation with duals and branch-and-bound.
 
-A model is plain arrays addressed by position: objective, bounds and
-integrality per variable, and sparse rows in ``<=`` form (builders negate
-``>=`` rows) plus optional equality rows.  LPs run on HiGHS through the
-binding bundled with scipy; the integer search is a hand-rolled depth-first
-branch-and-bound with a lazy-row hook, most-fractional branching and
-deterministic tie-breaking.  It keeps one HiGHS handle per search and
-re-solves each node warm from the handle's last basis; every one-shot LP
-is passed to one long-lived handle, which the new model resets.
+A model is plain arrays addressed by position, in HiGHS's own form:
+objective, bounds and integrality per variable, and one sparse row-wise
+matrix with a lower and an upper bound per row.  Builders write ``<=``
+rows (lower bound -inf; ``>=`` rows negated), and an equality row has
+equal bounds.  LPs run on HiGHS through the binding bundled with scipy; the
+integer search is a hand-rolled depth-first branch-and-bound with a
+lazy-row hook, most-fractional branching and deterministic tie-breaking.
+It keeps one HiGHS handle per search and re-solves each node warm from the
+handle's last basis; every one-shot LP is passed to one long-lived handle,
+which the new model resets.
 
-Dual sign convention: ``LpSolution.duals[r]`` belongs to the r-th ``<=``
-row, and the reduced cost of variable v in this minimization is
-c[v] - sum_r duals[r] * A_ub[r, v].
+Dual sign convention: ``LpSolution.duals[r]`` belongs to row r, and the
+reduced cost of variable v in this minimization is
+c[v] - sum_r duals[r] * A[r, v].
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class MipStatus(Enum):
 
 @dataclass
 class LinearModel:
-    """min c @ x  s.t.  A_ub @ x <= b_ub,  A_eq @ x == b_eq,  lower <= x <= upper.
+    """min c @ x  s.t.  row_lower <= A @ x <= row_upper,  lower <= x <= upper.
 
     Variables and rows are addressed by position only; ``integer`` flags
     the variables the branch-and-bound must make integral.
@@ -66,10 +68,9 @@ class LinearModel:
     lower: np.ndarray
     upper: np.ndarray
     integer: np.ndarray
-    A_ub: Optional[sparse.csr_matrix]
-    b_ub: np.ndarray
-    A_eq: Optional[sparse.csr_matrix] = None
-    b_eq: Optional[np.ndarray] = None
+    A: sparse.csr_matrix
+    row_lower: np.ndarray
+    row_upper: np.ndarray
 
 
 # one row in ``<=`` form: (variable indices, coefficients, right-hand side)
@@ -78,34 +79,34 @@ Row = tuple[np.ndarray, np.ndarray, float]
 
 def stack_rows(
     blocks: Sequence[tuple[int, np.ndarray, Sequence[float]]], ncols: int
-) -> tuple[Optional[sparse.csr_matrix], np.ndarray]:
-    """Stack dense row blocks into one sparse matrix and right-hand side.
+) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """Stack dense ``<=`` row blocks into (A, row_lower, row_upper).
 
     Block (col0, coefs, rhs) puts the rows ``coefs`` at columns col0 on;
-    explicit zeros are dropped.  No rows at all gives (None, empty).
+    explicit zeros are dropped.  Every row's lower bound is -inf.
     """
-    rows, cols, vals = [], [], []
+    rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    vals, rhs = [np.zeros(0)], [np.zeros(0)]
     nrows = 0
-    for col0, coefs, _ in blocks:
+    for col0, coefs, b in blocks:
         r, s = np.nonzero(coefs)
         rows.append(r + nrows)
         cols.append(s + col0)
         vals.append(coefs[r, s])
+        rhs.append(np.asarray(b, dtype=float))
         nrows += coefs.shape[0]
-    if nrows == 0:
-        return None, np.zeros(0)
     A = sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nrows, ncols),
     )
-    return A, np.concatenate([np.asarray(rhs, dtype=float) for _, _, rhs in blocks])
+    return A, np.full(nrows, -np.inf), np.concatenate(rhs)
 
 
 @dataclass
 class LpSolution:
     status: LpStatus
     x: Optional[np.ndarray] = None
-    duals: Optional[np.ndarray] = None  # one per A_ub row
+    duals: Optional[np.ndarray] = None  # one per row
     objective: float = math.nan
 
 
@@ -130,10 +131,6 @@ LP_STATUS = {
 }
 
 
-def _join(parts, dtype=float) -> np.ndarray:
-    return np.concatenate([np.zeros(0, dtype=dtype), *parts])
-
-
 def _new_handle() -> _Highs:
     highs = _Highs()
     for name, value in HIGHS_OPTIONS:
@@ -146,31 +143,22 @@ _lp_handle = functools.cache(_new_handle)
 
 
 def _load(model: LinearModel, highs: Optional[_Highs] = None) -> _Highs:
-    """``highs`` (a new handle by default) holding just the model: its ``<=``
-    rows, then its equality rows.  Passing a model resets the handle's
-    model, basis and solution; its options and run time carry over.
+    """``highs`` (a new handle by default) holding just the model.  Passing
+    a model resets the handle's model, basis and solution; its options and
+    run time carry over.
     """
     n = len(model.c)
-    blocks = []  # (CSR rows, row lower bounds, row upper bounds)
-    if model.A_ub is not None:
-        blocks.append((model.A_ub, np.full(len(model.b_ub), -np.inf), model.b_ub))
-    if model.A_eq is not None:
-        blocks.append((model.A_eq, model.b_eq, model.b_eq))
-    mats, row_lower, row_upper = zip(*blocks) if blocks else ((), (), ())
+    A = model.A
     # HiGHS reads these arrays through bare pointers, so their sizes must agree
-    if {len(model.lower), len(model.upper), *(A.shape[1] for A in mats)} != {n} or any(
-        A.shape[0] != len(hi) for A, _, hi in blocks
-    ):
+    if {len(model.lower), len(model.upper), A.shape[1]} != {n} or {
+        len(model.row_lower), len(model.row_upper)
+    } != {A.shape[0]}:
         raise ModelError("model arrays disagree in size")
-    # the blocks' CSR arrays joined into one row-wise matrix
-    nnz = np.cumsum([0] + [A.nnz for A in mats])
-    ends = _join([A.indptr[1:] + k for A, k in zip(mats, nnz)], np.int32)
     highs = _new_handle() if highs is None else highs
     highs.passModel(
-        n, len(ends), nnz[-1], 2, 1, 0.0,  # row-wise matrix, minimise, no offset
-        model.c, model.lower, model.upper, _join(row_lower), _join(row_upper),
-        np.append(0, ends), _join([A.indices for A in mats], np.int32),
-        _join([A.data for A in mats]), np.zeros(n, dtype=np.int32),
+        n, A.shape[0], A.nnz, 2, 1, 0.0,  # row-wise matrix, minimise, no offset
+        model.c, model.lower, model.upper, model.row_lower, model.row_upper,
+        A.indptr, A.indices, A.data, np.zeros(n, dtype=np.int32),
     )
     return highs
 
@@ -187,16 +175,15 @@ def linprog(highs: _Highs, deadline: float) -> HighsModelStatus:
     return highs.getModelStatus()
 
 
-def _solution(highs: _Highs, status: HighsModelStatus, n_ub: int) -> LpSolution:
-    """The handle's result, with the duals of its first ``n_ub`` rows."""
+def _solution(highs: _Highs, status: HighsModelStatus) -> LpSolution:
+    """The handle's result."""
     if status not in LP_STATUS:
         raise ModelError(f"LP solver failure: HiGHS model status {status.name}")
     if status != HighsModelStatus.kOptimal:
         return LpSolution(LP_STATUS[status])
     sol = highs.getSolution()
-    duals = np.array(sol.row_dual[:n_ub])
     return LpSolution(
-        LpStatus.OPTIMAL, np.array(sol.col_value), duals,
+        LpStatus.OPTIMAL, np.array(sol.col_value), np.array(sol.row_dual),
         float(highs.getInfo().objective_function_value),
     )
 
@@ -209,8 +196,7 @@ def solve_lp(model: LinearModel, deadline: float = math.inf) -> LpSolution:
     process-wide HiGHS handle, so calls must not overlap (no threads).
     """
     highs = _load(model, _lp_handle())
-    n_ub = 0 if model.A_ub is None else model.A_ub.shape[0]
-    return _solution(highs, linprog(highs, deadline), n_ub)
+    return _solution(highs, linprog(highs, deadline))
 
 
 def _most_fractional(x: np.ndarray, integer: np.ndarray) -> Optional[int]:
@@ -271,7 +257,7 @@ def solve_mip(
         nodes += 1
         highs.changeColsBounds(len(columns), columns, lower, upper)
         while True:
-            lp = _solution(highs, linprog(highs, deadline), 0)
+            lp = _solution(highs, linprog(highs, deadline))
             if lp.status == LpStatus.TIMED_OUT:
                 # the node stays open at its parent's bound
                 timed_out = True

@@ -273,23 +273,26 @@ def test_master_holds_only_admissible_columns(golden_instance, golden_seed_colum
 
 def test_shared_sub_models_price_like_fresh_ones(monkeypatch):
     # one cache over many clients, prices and decision sets: every answer
-    # is bitwise the answer priced without it, each sub-model is built
-    # once per key, and a cached model's objective never changes
+    # is bitwise the answer priced without it, the cache holds one
+    # sub-model per (client, f, t) whatever decisions it was priced under,
+    # and pricing leaves a cached model as it was built
     from conftest import random_instance
 
     shared_run = [False]
-    built, lps = [], []  # the shared run's builds (key, objective) and LPs
+    built = []  # the shared run's build keys
+    lps = []  # the shared run's LPs: (its sub-model's matrix, slot box bounds)
     build, solve = colgen.build_sub_model, colgen.solve_lp
 
-    def counting_build(client, cost, lower, upper, t):
-        m = build(client, cost, lower, upper, t)
+    def counting_build(client, frame_size, t):
         if shared_run[0]:
-            built.append(((client, t, lower.tobytes(), upper.tobytes()), m.c.copy()))
-        return m
+            built.append((client, frame_size, t))
+        return build(client, frame_size, t)
 
-    def counting_solve(*args, **kwargs):
-        lps.extend([1] if shared_run[0] else [])
-        return solve(*args, **kwargs)
+    def counting_solve(model, **kwargs):
+        if shared_run[0]:
+            f = len(model.c) - 1
+            lps.append((id(model.A), model.row_upper[:2 * f].tobytes()))
+        return solve(model, **kwargs)
 
     monkeypatch.setattr(colgen, "build_sub_model", counting_build)
     monkeypatch.setattr(colgen, "solve_lp", counting_solve)
@@ -330,9 +333,35 @@ def test_shared_sub_models_price_like_fresh_ones(monkeypatch):
                         priced += 1
                         assert shared[0].mask == fresh[0].mask
                         assert shared[1] == fresh[1]  # bitwise
-    keys = [key for key, _ in built]
-    assert priced > 100 and len(keys) == len(set(keys)) == len(sub_models) > 10
-    for key, c in built:
-        assert np.array_equal(sub_models[key].c, c)
+    assert priced > 100 and len(built) == len(set(built)) == len(sub_models) > 10
+    assert set(built) == set(sub_models)
+    # several decision sets reached the LP of one sub-model
+    assert {a for a, _ in lps} == {id(m.A) for m in sub_models.values()}
+    assert len(set(lps)) > len(sub_models)
+    for (client, f, t), m in sub_models.items():
+        again = build(client, f, t)
+        assert not m.c.any() and np.array_equal(m.row_upper, again.row_upper)
     # the shared run solved more LPs than it built: cached models were reused
     assert len(lps) > len(built)
+
+
+def test_equal_clients_of_other_frame_sizes_share_no_sub_model(monkeypatch):
+    # one dict prices the same client in instances of two frame sizes; the
+    # key holds f, so each size gets its own sub-models and every answer is
+    # bitwise the answer priced without the dict
+    client = ClientRequirement(1, "c1", Fraction(1, 4), Fraction(3))
+    lps = []
+    solve = colgen.solve_lp
+    monkeypatch.setattr(colgen, "solve_lp", lambda m, **kw: lps.append(m) or solve(m, **kw))
+    rng = np.random.default_rng(3)
+    sub_models = {}
+    for f in (8, 12, 8, 12):
+        for decisions in ((), ((1, 2, True),), ((1, 1, False), (2, 5, True))):
+            duals = DualPrices(rng.uniform(0.0, 1.0, f), {1: 0.5})
+            shared = price_client(client, duals, f, decisions, sub_models=sub_models)
+            fresh = price_client(client, duals, f, decisions)
+            assert shared[0].mask == fresh[0].mask and shared[1] == fresh[1]
+    assert lps  # the cheapest slots alone break the latency bound
+    assert {f for _, f, _ in sub_models} == {8, 12}
+    for (_, f, _), m in sub_models.items():
+        assert len(m.c) == f + 1

@@ -47,12 +47,12 @@ def test_check_fixings_conflicts():
 def test_build_ilp_pins_slot_one_by_a_bound(golden_instance):
     f = golden_instance.frame_size
     model = build_ilp(golden_instance)
-    assert model.A_eq is None
+    assert np.isneginf(model.row_lower).all()  # no equality row
     # client 2 needs the fewer slots (3 of 10), so slot 1 goes to it
     assert np.flatnonzero(model.lower).tolist() == [f]
     # any decision may break the rotation symmetry, so none is pinned then
     decided = build_ilp(golden_instance, [(1, 5, False)])
-    assert decided.A_eq is None
+    assert np.isneginf(decided.row_lower).all()
     assert not decided.lower.any()
 
 
@@ -183,7 +183,7 @@ def test_solve_direct_time_limit_covers_highs_setup():
     # HiGHS reads its clock only after its set-up, which grows with the
     # model: at 31 000 rows it outran a 1 s limit by over a second
     instance = generate(GenSpec.default("MD", 8, seed=0))
-    assert build_ilp(instance).A_ub.shape[0] < 5000
+    assert build_ilp(instance).A.shape[0] < 5000
     t0 = time.monotonic()
     schedule, status, _, _ = solve_direct(instance, time_limit=1.0)
     assert time.monotonic() - t0 < 1.5

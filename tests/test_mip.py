@@ -14,10 +14,9 @@ from tdmcfg.mip import LinearModel, LpStatus, MipStatus, solve_lp, solve_mip, st
 def model(c, upper, rows=(), integer=True):
     """min c @ x over 0 <= x <= upper with dense ``<=`` rows (coefs, rhs)."""
     c = np.array(c, dtype=float)
-    A_ub, b_ub = stack_rows([(0, np.array([coefs]), [rhs]) for coefs, rhs in rows], len(c))
     return LinearModel(
-        c, np.zeros(len(c)), np.array(upper, dtype=float),
-        np.full(len(c), integer), A_ub, b_ub,
+        c, np.zeros(len(c)), np.array(upper, dtype=float), np.full(len(c), integer),
+        *stack_rows([(0, np.array([coefs]), [rhs]) for coefs, rhs in rows], len(c)),
     )
 
 
@@ -42,14 +41,17 @@ def test_solve_lp_infeasible():
 
 
 def test_stack_rows_drops_zeros_and_places_blocks():
-    A, b = stack_rows(
+    A, lo, hi = stack_rows(
         [(0, np.array([[1.0, 0.0]]), [2.0]), (2, np.array([[0.0, -3.0], [0.0, 0.0]]), [1.0, 0.0])], 4
     )
     assert A.shape == (3, 4)
     assert A.nnz == 2
     assert A.toarray().tolist() == [[1, 0, 0, 0], [0, 0, 0, -3], [0, 0, 0, 0]]
-    assert b.tolist() == [2.0, 1.0, 0.0]
-    assert stack_rows([], 4)[0] is None
+    assert lo.tolist() == [-math.inf] * 3
+    assert hi.tolist() == [2.0, 1.0, 0.0]
+    # no rows is still a matrix
+    A, lo, hi = stack_rows([], 4)
+    assert A.shape == (0, 4) and len(lo) == len(hi) == 0
 
 
 def test_solve_mip_knapsack_optimum():
@@ -115,7 +117,7 @@ def test_lazy_row_found_at_one_node_binds_a_later_sibling(monkeypatch):
     assert res.status == MipStatus.OPTIMAL
     assert res.objective == pytest.approx(-2.0)
     assert len(calls) == 1  # found at the first child, never again
-    assert m.A_ub.shape[0] == 1  # the caller's model is left as it was
+    assert m.A.shape[0] == 1  # the caller's model is left as it was
     root_x = solved[0][3]
     v = next(i for i in (2, 3) if 0 < root_x[i] < 1)
     first = solved[1][0]
@@ -223,8 +225,10 @@ def test_model_arrays_of_other_sizes_are_refused():
     short_bounds = knapsack_model()
     short_bounds.upper = short_bounds.upper[:2]
     short_rhs = knapsack_model()
-    short_rhs.b_ub = np.zeros(0)
-    for m in (short_bounds, short_rhs):
+    short_rhs.row_upper = np.zeros(0)
+    short_row_lower = knapsack_model()
+    short_row_lower.row_lower = np.zeros(0)
+    for m in (short_bounds, short_rhs, short_row_lower):
         with pytest.raises(mip.ModelError, match="disagree in size"):
             solve_lp(m)
 
@@ -241,7 +245,8 @@ def test_reused_handle_matches_fresh_handles(monkeypatch, golden_instance, golde
     f = 10
     client = ClientRequirement(1, "c1", Fraction(3, 10), Fraction(3))
     cost = np.random.default_rng(0).uniform(0.1, 1.0, f)
-    pricing = build_sub_model(client, cost, np.zeros(f), np.ones(f), 4)
+    pricing = build_sub_model(client, f, 4)
+    pricing.c = colgen._prefix_costs(cost)
     pool = ColumnPool()
     for column in golden_seed_columns:
         pool.add(column)
@@ -251,7 +256,9 @@ def test_reused_handle_matches_fresh_handles(monkeypatch, golden_instance, golde
     canonical_duals(pool, (), golden_instance, master.objective)
     monkeypatch.undo()
     (dual_selection,) = captured
-    assert dual_selection.A_eq is not None
+    # the strong-duality row, last, is the one equality row
+    equal = dual_selection.row_lower == dual_selection.row_upper
+    assert np.flatnonzero(equal).tolist() == [len(equal) - 1]
     infeasible = model([1.0], [1], [([-1.0], -2.0)], integer=False)
 
     handles = []
@@ -268,7 +275,7 @@ def test_reused_handle_matches_fresh_handles(monkeypatch, golden_instance, golde
     for m, deadline, status in steps:
         shared = solve_lp(m, deadline)
         highs = mip._load(m)
-        fresh = mip._solution(highs, linprog(highs, deadline), m.A_ub.shape[0])
+        fresh = mip._solution(highs, linprog(highs, deadline))
         assert shared.status == fresh.status == status
         for a, b in ((shared.x, fresh.x), (shared.duals, fresh.duals)):
             assert (a is None and b is None) or np.array_equal(a, b)
