@@ -16,7 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .colgen import ColumnPool, Column, NodeInfeasibleError, SubModels, column_generation
+from .colgen import (
+    ColumnPool, Column, NodeInfeasibleError, SubModels, column_generation, slots_of,
+)
 from .heuristics import allocated_slots, best_of_runs
 from .ilp import solve_direct
 from .mip import MipStatus
@@ -181,36 +183,38 @@ def complete_with_ilp(
     return schedule, status
 
 
-def _warm_start(
-    instance: ProblemInstance, config: BnpConfig, pool: ColumnPool, time_limit: float,
-    sub_models: Optional[SubModels] = None,
-) -> Optional[Schedule]:
-    """Run the generative heuristic for the incumbent and seed columns."""
-    runs = config.heuristic_runs
-    if runs is None:
-        f = instance.frame_size
-        all_bd = all(
-            dominance_class(c, f) == DominanceClass.BANDWIDTH_DOMINATED
-            for c in instance.clients
-        )
-        runs = 1 if all_bd else 8
-    best, found = best_of_runs(
-        instance, runs, config.seed, time_limit, sub_models=sub_models
+def _heuristic_runs(instance: ProblemInstance, config: BnpConfig) -> int:
+    """Generative runs in the warm start: one when every client is
+    bandwidth-dominated, eight otherwise, unless the config says."""
+    if config.heuristic_runs is not None:
+        return config.heuristic_runs
+    f = instance.frame_size
+    all_bd = all(
+        dominance_class(c, f) == DominanceClass.BANDWIDTH_DOMINATED
+        for c in instance.clients
     )
-    for schedule in found:
-        for client in instance.clients:
-            pool.add(Column(client.id, schedule.mask(client.id)))
-    return best
+    return 1 if all_bd else 8
 
 
 def solve_bnp(
     instance: ProblemInstance, config: Optional[BnpConfig] = None
 ) -> tuple[Optional[Schedule], MipStatus, Optional[Fraction], float, BnpStats]:
-    """Branch-and-price search for the minimal-allocation schedule."""
+    """Branch-and-price search for the minimal-allocation schedule.
+
+    The generative heuristic's first run gives the incumbent; one that
+    meets the slot-bound sum ends the solve.  Otherwise the root node is
+    solved next, and the warm start's other runs are made only if the root
+    branches, that is, if its bound leaves a gap; they stop at that bound.
+    All runs share one budget, a third of the time limit.  When no run
+    finds a schedule, the monolithic ILP gets one time slice at the root:
+    before the root node when the warm start has at most one run, after
+    the other runs otherwise.  Then depth-first search.
+    """
     config = config or BnpConfig()
     stats = BnpStats()
     limit = math.inf if config.time_limit is None else config.time_limit
-    deadline = time.monotonic() + limit
+    start = time.monotonic()
+    deadline, warm_deadline = start + limit, start + limit / 3
     f = instance.frame_size
     n = instance.n_clients
     # the incumbent and its slot count; f + 1 slots stands for none
@@ -231,7 +235,7 @@ def solve_bnp(
         if open_bound * f - 1e-6 <= best_slots - 1:
             status = MipStatus.TIMED_OUT if incumbent is None else MipStatus.FEASIBLE
             # phi is a whole number of slots over f, and never exceeds 1
-            bound = min(math.ceil(open_bound * f - 1e-6) / f, 1.0)
+            bound = min(slots_of(open_bound, f) / f, 1.0)
             return incumbent, status, phi, bound, stats
         if incumbent is None:
             return None, MipStatus.INFEASIBLE, None, math.inf, stats
@@ -249,25 +253,44 @@ def solve_bnp(
     pool = ColumnPool()
     # pricing sub-models shared by the heuristic and every node, for this solve only
     sub_models: SubModels = {}
-    incumbent = _warm_start(instance, config, pool, limit / 3, sub_models)
-    stats.heuristic_feasible = incumbent is not None
-    if incumbent is not None:
-        best_slots = allocated_slots(incumbent)
-    if best_slots <= total_lb:
-        # the incumbent meets the sum of per-client slot lower bounds
-        return result()
-    if incumbent is None:
-        # no heuristic incumbent: give the monolithic ILP one time slice
-        # at the root so the search has something to prune against
+
+    def add_columns(schedule: Schedule) -> None:
+        for client in instance.clients:
+            pool.add(Column(client.id, schedule.mask(client.id)))
+
+    def warm_start(runs: int, seed: int, floor: int) -> None:
+        """Generative runs: every schedule found seeds columns, the best one
+        becomes the incumbent if it beats it."""
+        nonlocal incumbent, best_slots
+        best, found = best_of_runs(
+            instance, runs, seed, warm_deadline - time.monotonic(),
+            floor=floor, sub_models=sub_models,
+        )
+        for schedule in found:
+            add_columns(schedule)
+        if best is not None:
+            stats.heuristic_feasible = True
+            if allocated_slots(best) < best_slots:
+                incumbent, best_slots = best, allocated_slots(best)
+
+    def ilp_slice() -> bool:
+        """A third of the time left for the monolithic ILP at the root, so the
+        search has an incumbent to prune against; True if it settles the solve."""
         now = time.monotonic()
         schedule, status = complete_with_ilp(BnpNode(()), instance, now + (deadline - now) / 3)
         stats.completions += 1
         improve(schedule)
         if schedule is not None:
-            for client in instance.clients:
-                pool.add(Column(client.id, schedule.mask(client.id)))
-        if status in (MipStatus.OPTIMAL, MipStatus.INFEASIBLE):
-            return result()
+            add_columns(schedule)
+        return status in (MipStatus.OPTIMAL, MipStatus.INFEASIBLE)
+
+    runs = _heuristic_runs(instance, config)
+    warm_start(min(runs, 1), config.seed, total_lb)
+    if best_slots <= total_lb:
+        # the incumbent meets the sum of per-client slot lower bounds
+        return result()
+    if incumbent is None and runs <= 1 and ilp_slice():
+        return result()
 
     # root: slot 1 goes to the client with the tightest latency requirement
     root_decisions: tuple = ()
@@ -280,23 +303,28 @@ def solve_bnp(
     # the root starts at the slot-bound sum, which holds before it is opened
     stack: list[BnpNode] = [BnpNode(root_decisions, total_lb / f)]
     while stack and time.monotonic() <= deadline:
+        if stats.nodes_opened == 1 and runs > 1:
+            # the root branched, so its bound, which its children carry,
+            # leaves a gap: the warm start's other runs may close it
+            floor = slots_of(stack[-1].local_bound, f)
+            warm_start(runs - 1, config.seed + 1, floor)
+            if best_slots <= floor or (incumbent is None and ilp_slice()):
+                return result()
         node = stack.pop()
         stats.nodes_opened += 1
         try:
             res = column_generation(
                 pool, node.decisions, instance,
-                upper_bound=(best_slots - 1 + 1e-9) / f, deadline=deadline,
-                sub_models=sub_models,
+                incumbent_slots=best_slots, deadline=deadline, sub_models=sub_models,
             )
         except NodeInfeasibleError:
             stats.nodes_infeasible += 1
             continue
         stats.columns_generated += res.columns_added
         stats.node_log.append((res.lower_bound, list(res.lagrangian_estimates)))
-        lb_slots = math.ceil(res.lower_bound * f - 1e-6)
         # with no incumbent best_slots is f + 1: a bound above f slots needs
         # over-allocation, so the node holds no feasible schedule
-        if lb_slots >= best_slots:
+        if slots_of(res.lower_bound, f) >= best_slots:
             stats.nodes_pruned += 1
             stats.pruned_bounds.append(res.lower_bound)
             continue

@@ -166,6 +166,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
             log.warning("instance %d: %s", k, exc)
             failures += 1
             continue
+        except ValueError as exc:  # no instance of this class and size can be drawn
+            log.error("%s", exc)
+            return EXIT_ERROR
         name = f"{args.klass.lower()}_{args.n}_{k:03d}.json"
         serialize.save_instance(instance, out_dir / name)
         total = sum(c.required_rate for c in instance.clients)

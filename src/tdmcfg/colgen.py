@@ -394,7 +394,8 @@ class ColGenResult:
     lagrangian_estimates: list = field(default_factory=list)
 
 
-def _slots_of(value: float, frame_size: int) -> int:
+def slots_of(value: float, frame_size: int) -> int:
+    """The fewest whole slots that a lower bound on Phi allows."""
     return math.ceil(value * frame_size - 1e-6)
 
 
@@ -404,7 +405,7 @@ def column_generation(
     instance: ProblemInstance,
     trace: Optional[list] = None,
     *,
-    upper_bound: float = math.inf,
+    incumbent_slots: Optional[int] = None,
     deadline: float = math.inf,
     sub_models: Optional[SubModels] = None,
 ) -> ColGenResult:
@@ -412,9 +413,12 @@ def column_generation(
 
     Pricing is exact, so every iteration's Lagrangian value (master value
     plus the sum of all negative reduced costs) bounds the node from
-    below.  Every ``n`` iterations the best of them may close the loop
-    early: when it reaches ``upper_bound`` (the incumbent), or when it
-    discretizes to the same slot count as the current master value.  Past
+    below.  Every ``n`` iterations the best of them may end the loop
+    early, where it settles the node in whole slots (``slots_of``): when
+    it rounds up to ``incumbent_slots`` or more, so that the node is
+    pruned, or to the same slot count as the current master value, which
+    bounds the node's LP optimum from above.  A bound that rounds up to
+    fewer slots than the incumbent prunes nothing and does not end it.  Past
     ``deadline`` the loop returns "timed_out" with the best bound it has:
     the best Lagrangian value, or the slot-bound sum if that is higher.
     ``trace`` receives one (iteration, master objective,
@@ -466,8 +470,9 @@ def column_generation(
             best = max(best, lagrangian)
             if iteration % n == 0:
                 lagrangians.append(lagrangian)
-                same_slots = _slots_of(best, f) == _slots_of(master.objective, f)
-                if best >= upper_bound - 1e-9 or same_slots:
+                slots = slots_of(best, f)
+                prunes = incumbent_slots is not None and slots >= incumbent_slots
+                if prunes or slots == slots_of(master.objective, f):
                     return stop("lagrangian_stop", best)
             if iteration >= MAX_ITERATIONS:
                 lagrangians.append(lagrangian)

@@ -7,7 +7,9 @@ without conflict stay cheap, so clients gradually drift apart until the
 composite schedule is collision-free.  A seeded random tie-break picks
 among equally priced columns.  A run gives up once STALL_ROUNDS rounds of
 calls leave every mask as it was.  ``best_of_runs`` repeats it with new
-seeds and stops at a schedule that meets the sum of the slot lower bounds.
+seeds and stops at a schedule that meets a floor no schedule can beat: the
+sum of the slot lower bounds by default, or a stronger bound the caller
+proved (branch-and-price passes its root node's bound).
 """
 
 from __future__ import annotations
@@ -115,16 +117,18 @@ def best_of_runs(
     seed: int = 0,
     time_limit: Optional[float] = None,
     *,
+    floor: Optional[int] = None,
     sub_models: Optional[SubModels] = None,
 ) -> tuple[Optional[Schedule], list[Schedule]]:
     """Up to ``runs`` generative runs with seeds ``seed``, ``seed + 1``, ...;
     the schedule with the fewest slots (the first on ties) and every feasible
-    schedule in run order.  Stops at the slot-bound sum, which none can beat.
+    schedule in run order.  Stops at a schedule of at most ``floor`` slots,
+    a lower bound on every schedule (the slot-bound sum by default).
     ``time_limit`` (seconds) covers all runs; a run begun after it ends at once.
     All runs share ``sub_models`` (a new dict by default).
     """
     sub_models = {} if sub_models is None else sub_models
-    floor = slot_bound_sum(instance)
+    floor = slot_bound_sum(instance) if floor is None else floor
     deadline = time.monotonic() + (math.inf if time_limit is None else time_limit)
     best: Optional[Schedule] = None
     found: list[Schedule] = []

@@ -123,12 +123,22 @@ def _md_latency(rate: Fraction, frame_size: int) -> Fraction:
 
 
 def generate(spec: GenSpec) -> ProblemInstance:
-    """Draw one instance satisfying the class's acceptance windows."""
+    """Draw one instance satisfying the class's acceptance windows.
+
+    Raises ValueError at once when n rates from the spec's range cannot
+    sum to the inside of its total-rate window.
+    """
     rng = random.Random(spec.seed)
     f = spec.frame_size
     n = spec.n_clients
     target = _TARGET_CLASS[spec.klass]
     rate_lo, rate_hi = spec.total_rate_window
+    least, most = (n * Fraction(str(r)) for r in spec.rate_range)
+    if most <= Fraction(str(rate_lo)) or least >= Fraction(str(rate_hi)):
+        raise ValueError(
+            f"{n} {spec.klass} clients at rates {spec.rate_range[0]}-{spec.rate_range[1]}"
+            f" cannot reach the total-rate window {rate_lo}-{rate_hi}"
+        )
     attempts = 0
     while attempts < spec.max_attempts:
         attempts += 1

@@ -29,6 +29,8 @@ from tdmcfg.verify import brute_force_optimum, schedule_feasible
 
 from conftest import random_instance
 
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "bnp-tree"
+
 
 def test_node_child_extends_decisions():
     root = BnpNode(())
@@ -130,6 +132,48 @@ def test_warm_start_stops_at_slot_bound_sum(monkeypatch):
     schedule, status, objective, _, _ = solve_bnp(instance, BnpConfig(seed=0))
     assert len(runs) == 1
     assert (status, objective) == (MipStatus.OPTIMAL, Fraction(59, 64))
+    assert schedule_feasible(schedule, instance).feasible
+
+
+def _counting_runs(monkeypatch) -> list:
+    """Patch the generative heuristic to record each run's slot count (None: failed)."""
+    runs = []
+    generative = heuristics.generative
+
+    def counting(*args, **kwargs):
+        schedule, status = generative(*args, **kwargs)
+        runs.append(None if schedule is None else heuristics.allocated_slots(schedule))
+        return schedule, status
+
+    monkeypatch.setattr(heuristics, "generative", counting)
+    return runs
+
+
+def test_root_bound_ends_the_warm_start(monkeypatch):
+    # bnp-tree's ld3-s21: run 1 finds 10 of 12 slots, one above the
+    # slot-bound sum; the root's bound, 28/3 slots, rounds up to 10, so the
+    # root is pruned and no other run is made
+    runs = _counting_runs(monkeypatch)
+    instance = load_instance(CORPUS / "ld3-s21.json")
+    schedule, status, objective, bound, stats = solve_bnp(instance)
+    assert (status, objective, bound) == (MipStatus.OPTIMAL, Fraction(10, 12), 10 / 12)
+    assert runs == [10]
+    assert (stats.nodes_opened, stats.nodes_pruned, stats.completions) == (1, 1, 0)
+    assert schedule_feasible(schedule, instance).feasible
+
+
+def test_warm_start_resumes_when_the_root_leaves_a_gap(monkeypatch):
+    # bnp-tree's ld4-s19: run 1 fails, so the root is solved with no
+    # incumbent; its bound, 34/3 slots, leaves a gap below 12 (of 12).  Run
+    # 2 finds 12, which meets the root's bound rounded up, so the solve ends
+    # with no ILP slice and no other node
+    runs = _counting_runs(monkeypatch)
+    instance = load_instance(CORPUS / "ld4-s19.json")
+    schedule, status, objective, bound, stats = solve_bnp(instance)
+    assert (status, objective, bound) == (MipStatus.OPTIMAL, Fraction(1), 1.0)
+    assert runs == [None, 12]
+    assert (stats.nodes_opened, stats.completions) == (1, 0)
+    assert stats.heuristic_feasible
     assert schedule_feasible(schedule, instance).feasible
 
 
@@ -276,8 +320,7 @@ def test_solve_bnp_stats_are_populated(golden_instance):
 def test_solves_in_one_process_share_no_state(monkeypatch):
     # pricing sub-models live for one solve and the LP handle is reset per
     # model: solving another instance in between changes nothing
-    corpus = Path(__file__).resolve().parents[1] / "perfbench/corpus/bnp-tree"
-    ld = load_instance(corpus / "ld4-s7.json")
+    ld = load_instance(CORPUS / "ld4-s7.json")
     hd_video = load_instance(Path(tdmcfg.__file__).parent / "data" / "hd-video.json")
     caches = []  # per solve, the sub-model dict of every heuristic run and node
     for module, name in ((heuristics, "generative"), (bnp, "column_generation")):

@@ -118,6 +118,16 @@ def test_generate_writes_instances_and_manifest(tmp_path):
         assert row["n"] == "8"
 
 
+def test_generate_fails_at_once_on_an_unreachable_window(tmp_path, caplog):
+    # 4 BD clients at rates up to 0.16 sum to at most 0.64, below 0.8
+    out = tmp_path / "gen"
+    code = main(["generate", "BD", "--n", "4", "--count", "3", "--out", str(out)])
+    assert code == 1
+    assert not (out / "manifest.csv").exists()
+    assert "total-rate window 0.8-0.95" in caplog.text
+    assert "attempts" not in caplog.text
+
+
 def test_verify_detects_infeasible_schedule(tmp_path, golden_path, golden_instance):
     sched_path = tmp_path / "sched.json"
     # all of c1 bunched at the front violates its latency bound

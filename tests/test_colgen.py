@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +19,19 @@ from tdmcfg.colgen import (
     ensure_seed_columns,
     extract_duals,
     price_client,
+    slots_of,
     solve_master,
     zero_duals,
 )
+from tdmcfg.heuristics import allocated_slots, best_of_runs
 from tdmcfg.ilp import find_latency_violation
-from tdmcfg.model import ClientRequirement, ProblemInstance, latency_witness
+from tdmcfg.model import ClientRequirement, ProblemInstance, latency_witness, slot_bound_sum
+from tdmcfg.serialize import load_instance
+from tdmcfg.usecase import GenSpec, generate
 
 from conftest import brute_force_price, column_admissible
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 
 
 def _integral_pair_slots(pool: ColumnPool) -> int:
@@ -226,10 +233,53 @@ def test_column_generation_reaches_integral_optimum(
 
 def test_column_generation_upper_bound_stop(golden_instance, golden_seed_columns):
     pool = seeded_pool(golden_seed_columns)
-    # an upper bound at the seed value lets the Lagrangian close immediately
-    res = column_generation(pool, (), golden_instance, upper_bound=0.8)
+    # an incumbent at the seed value lets the Lagrangian close immediately
+    res = column_generation(pool, (), golden_instance, incumbent_slots=8)
     assert res.status in ("optimal", "lagrangian_stop")
     assert res.lower_bound <= 0.8 + 1e-9
+
+
+def test_root_stops_at_a_bound_that_prunes_the_heuristic_incumbent():
+    # bnp-tree's ld3-s21: the first heuristic run finds the optimum, 10 of
+    # 12 slots.  The root's Lagrangian reaches exactly 9 slots at iteration
+    # 3, which prunes nothing; the loop must go on to its bound of 28/3
+    # slots, which rounds up to 10
+    instance = load_instance(CORPUS / "bnp-tree" / "ld3-s21.json")
+    f = instance.frame_size
+    best, found = best_of_runs(instance, 1, 0)
+    assert allocated_slots(best) == 10
+    pool = seeded_pool(
+        Column(c.id, schedule.mask(c.id)) for schedule in found for c in instance.clients
+    )
+    tight = min(instance.clients, key=lambda c: (c.effective_latency(f), c.id))
+    res = column_generation(pool, ((tight.id, 1, True),), instance, incumbent_slots=10)
+    assert slots_of(res.lower_bound, f) == 10
+    assert res.lower_bound == pytest.approx(28 / 3 / f)
+
+
+def test_incumbent_stop_returns_a_bound_that_prunes():
+    # LD instances on f = 12 made like bnp-tree's, each pool seeded with a
+    # heuristic schedule as at the root.  Run to the end, then again with
+    # every incumbent from the slot-bound sum up: a run that ends sooner was
+    # ended by the incumbent test, and its bound must prune that incumbent
+    # without passing the full bound
+    stopped = 0
+    for seed in range(100, 115):
+        instance = generate(GenSpec(
+            "LD", 3, (0.16 / 3, 0.56 / 3), (1.6, 3.3), (0.35, 0.5), (0.75, 0.95), 12, seed,
+        ))
+        f = instance.frame_size
+        _, found = best_of_runs(instance, 1, 0)
+        columns = [Column(c.id, s.mask(c.id)) for s in found for c in instance.clients]
+        full = column_generation(seeded_pool(columns), (), instance)
+        for slots in range(slot_bound_sum(instance), slots_of(full.lower_bound, f) + 2):
+            res = column_generation(seeded_pool(columns), (), instance, incumbent_slots=slots)
+            assert res.iterations <= full.iterations
+            if res.iterations < full.iterations:
+                stopped += 1
+                assert slots_of(res.lower_bound, f) >= slots
+                assert res.lower_bound <= full.lower_bound + 1e-9
+    assert stopped >= 5
 
 
 def test_lagrangian_estimates_below_final_bound(

@@ -75,6 +75,19 @@ def test_generate_rejects_unknown_class():
         GenSpec.default("XX", 8)
 
 
+@pytest.mark.parametrize("klass", [BD, LD, MD])
+@pytest.mark.parametrize("n", [2, 4])
+def test_generate_refuses_an_unreachable_total_rate_window(klass, n):
+    # the default spec takes its rate range from the n = 8 row, so n clients
+    # at the top of that range still sum below the class's window; the
+    # generator must say so before drawing, not after 10 000 attempts
+    spec = GenSpec.default(klass, n)
+    lo, hi = spec.total_rate_window
+    assert n * spec.rate_range[1] < lo
+    with pytest.raises(ValueError, match=f"total-rate window {lo}-{hi}"):
+        generate(spec)
+
+
 def test_rates_and_latencies_are_exact_rationals():
     inst = generate(GenSpec.default(MD, 8, seed=1))
     for client in inst.clients:
