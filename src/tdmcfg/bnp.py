@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .colgen import (
-    ColumnPool, Column, NodeInfeasibleError, SubModels, column_generation, slots_of,
+    ColumnPool, Column, MasterSolution, NodeInfeasibleError, SubModels, column_generation,
+    slots_of,
 )
 from .heuristics import allocated_slots, best_of_runs
 from .ilp import solve_direct
@@ -139,10 +140,7 @@ def branch_sequential(
 
 
 def branch_max_probability(
-    node: BnpNode,
-    master,
-    pool: ColumnPool,
-    instance: ProblemInstance,
+    node: BnpNode, master: MasterSolution, instance: ProblemInstance
 ) -> tuple[BnpNode, BnpNode]:
     """Branch on the current client's highest-probability undecided slot.
 
@@ -150,20 +148,14 @@ def branch_max_probability(
     columns covering it.  Returns (allocate_child, forbid_child); the
     Allocate child is meant to be explored first.
     """
+    weights = np.maximum(master.weights, 0.0)
     for client in _theta_order(instance):
-        cols = pool.columns(client.id)
-        totals: dict[int, float] = {}
-        for k, col in enumerate(cols):
-            w = master.weights.get((client.id, k), 0.0)
-            if w <= 0:
-                continue
-            for s in col.slots():
-                totals[s] = totals.get(s, 0.0) + w
+        mine = master.owner == instance.clients.index(client)
+        totals = weights[mine] @ master.masks[mine]
         best_slot, best_p = None, 0.0
         for slot in _free_slots(node, client.id, instance.frame_size):
-            p = totals.get(slot, 0.0)
-            if p > best_p + 1e-12:  # strictly greater keeps the leftmost tie
-                best_slot, best_p = slot, p
+            if totals[slot - 1] > best_p + 1e-12:  # strictly greater keeps the leftmost tie
+                best_slot, best_p = slot, totals[slot - 1]
         if best_slot is not None:
             return (
                 node.child(client.id, best_slot, True),
@@ -341,7 +333,7 @@ def solve_bnp(
             and master.is_integral()
             and master.conflict_free()
         ):
-            chosen = master.chosen_columns(pool)
+            chosen = master.chosen_columns()
             if len(chosen) == n:
                 schedule = Schedule.from_masks(
                     f, {cid: col.mask for cid, col in chosen.items()}
@@ -371,9 +363,7 @@ def solve_bnp(
             if branching == SEQUENTIAL:
                 first, second = branch_sequential(node, instance)
             else:
-                first, second = branch_max_probability(
-                    node, master, pool, instance
-                )
+                first, second = branch_max_probability(node, master, instance)
         except NoBranchError:
             continue  # fully decided and not integral: nothing better here
         stack.append(second)

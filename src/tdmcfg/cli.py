@@ -171,7 +171,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             return EXIT_ERROR
         name = f"{args.klass.lower()}_{args.n}_{k:03d}.json"
         serialize.save_instance(instance, out_dir / name)
-        total = sum(c.required_rate for c in instance.clients)
+        total = instance.total_required_rate()
         lat_load = Fraction(
             sum(latency_slot_bound(c, instance.frame_size) for c in instance.clients),
             instance.frame_size,

@@ -1,4 +1,4 @@
-"""Column generation: restricted master, dual extraction and pricing.
+"""Column generation: restricted master, dual selection and pricing.
 
 The master selects one slot-allocation column per client while penalizing
 slot over-allocation; pricing searches, per client, for a column with
@@ -14,8 +14,10 @@ is sum_j mask_j * lambda_j + slot_count / f - sigma directly.
 The master's variables are the columns that obey the node's decisions
 (client-major, pool order) and then one over-allocation ``y`` per slot;
 its rows are one capacity row per slot and then one convexity row per
-client.  The dual-selection LP has one ``lam`` per slot and then one
-``sig`` per client.
+client.  ``solve_master`` returns them with their optimum as one
+``MasterSolution``, which the dual selection, the pricing tie-break and
+branching read.  The dual-selection LP has one ``lam`` per slot and then
+one ``sig`` per client.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from .mip import LinearModel, LpSolution, LpStatus, solve_lp, stack_rows
+from .mip import LinearModel, LpStatus, solve_lp, stack_rows
 from .model import (
     ClientRequirement, Column, ProblemInstance, mask_bounds, slot_bound_sum, slot_lower_bound,
     window_lengths,
@@ -69,18 +71,15 @@ class ColumnPool:
         self._columns.setdefault(column.client, []).append(column)
         return True
 
-    def columns(self, client_id: int) -> list[Column]:
-        return list(self._columns.get(client_id, []))
-
-    def admissible(self, client_id: int, decisions: Sequence[tuple]) -> list[tuple[int, Column]]:
-        """(pool index, column) of the client's columns that obey the decisions."""
+    def admissible(self, client_id: int, decisions: Sequence[tuple]) -> list[Column]:
+        """The client's columns that obey the decisions, in pool order."""
         columns = self._columns.get(client_id, [])
         if not columns:
             return []
         masks = np.array([col.mask for col in columns])
         lower, upper = mask_bounds(client_id, masks.shape[1], decisions)
         keep = ((lower <= masks) & (masks <= upper)).all(axis=1)
-        return [(k, columns[k]) for k in np.flatnonzero(keep).tolist()]
+        return [columns[k] for k in np.flatnonzero(keep).tolist()]
 
 
 @dataclass
@@ -91,107 +90,90 @@ class DualPrices:
 
 @dataclass
 class MasterSolution:
-    weights: dict[tuple[int, int], float]  # (client id, pool index) -> weight
-    overalloc: dict[int, float]
+    """A node's restricted master at its optimum.
+
+    Column k is ``columns[k]``, with mask ``masks[k]`` (slot s at index
+    s - 1), weight ``weights[k]`` and client ``instance.clients[owner[k]]``;
+    the columns obey the node's decisions and run client-major in pool
+    order.  ``overalloc`` holds the over-allocation of slot s at index
+    s - 1, and ``duals`` the simplex duals of the capacity and convexity
+    rows.
+    """
+
+    columns: list[Column]
+    masks: np.ndarray
+    owner: np.ndarray
+    weights: np.ndarray
+    overalloc: np.ndarray
     objective: float
+    duals: DualPrices
 
     def is_integral(self, tol: float = 1e-6) -> bool:
-        return all(w <= tol or w >= 1 - tol for w in self.weights.values())
+        return bool(((self.weights <= tol) | (self.weights >= 1 - tol)).all())
 
     def conflict_free(self, tol: float = 1e-6) -> bool:
-        return all(y <= tol for y in self.overalloc.values())
+        return bool((self.overalloc <= tol).all())
 
-    def chosen_columns(self, pool: ColumnPool, tol: float = 1e-6) -> dict[int, Column]:
+    def chosen_columns(self, tol: float = 1e-6) -> dict[int, Column]:
         chosen: dict[int, Column] = {}
-        for (client_id, k), w in self.weights.items():
-            if w >= 1 - tol and client_id not in chosen:
-                chosen[client_id] = pool.columns(client_id)[k]
+        for col, w in zip(self.columns, self.weights.tolist()):
+            if w >= 1 - tol and col.client not in chosen:
+                chosen[col.client] = col
         return chosen
 
 
-def _masks(columns: Sequence[Column], frame_size: int) -> np.ndarray:
-    return np.array([col.mask for col in columns], dtype=float).reshape(-1, frame_size)
-
-
-def _admissible_columns(
-    pool: ColumnPool, decisions: Sequence[tuple], instance: ProblemInstance
-) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-    """The columns that obey a node's decisions, client-major in pool order.
-
-    Returns their (client id, pool index) keys, their masks (one row each)
-    and the position of each one's client.  Raises NodeInfeasibleError
-    when some client has none.
-    """
-    keys, columns, owner = [], [], []
-    for p, client in enumerate(instance.clients):
-        admissible = pool.admissible(client.id, decisions)
-        if not admissible:
-            raise NodeInfeasibleError(client.id)
-        for k, col in admissible:
-            keys.append((client.id, k))
-            columns.append(col)
-            owner.append(p)
-    return keys, _masks(columns, instance.frame_size), np.array(owner)
-
-
-def build_master(
-    pool: ColumnPool, decisions: Sequence[tuple], instance: ProblemInstance
-) -> tuple[LinearModel, list[tuple[int, int]]]:
-    """Restricted master LP over the columns that obey a node's decisions.
-
-    Returns the model and the (client id, pool index) of each column
-    variable, in variable order.
-    """
+def build_master(masks: np.ndarray, owner: np.ndarray, instance: ProblemInstance) -> LinearModel:
+    """Restricted master LP over the given columns, in variable order:
+    ``masks`` holds one mask per column, ``owner`` its client's position."""
     f = instance.frame_size
     n = instance.n_clients
-    keys, masks, owner = _admissible_columns(pool, decisions, instance)
-    m = len(keys)
+    m = len(owner)
     cap = np.hstack([masks.T, -np.eye(f)])
     cvx = np.hstack([-np.equal.outer(np.arange(n), owner).astype(float), np.zeros((n, f))])
-    model = LinearModel(
+    return LinearModel(
         np.concatenate([masks.sum(axis=1) / f, np.full(f, M_PRIME)]),
         np.zeros(m + f),
         np.concatenate([np.full(m, math.inf), np.full(f, float(n))]),
         np.zeros(m + f, dtype=bool),
         *stack_rows([(0, cap, np.ones(f)), (0, cvx, -np.ones(n))], m + f),
     )
-    return model, keys
 
 
 def solve_master(
     pool: ColumnPool, decisions: Sequence[tuple], instance: ProblemInstance,
     deadline: float = math.inf,
-) -> tuple[MasterSolution, LpSolution]:
-    model, keys = build_master(pool, decisions, instance)
-    lp = solve_lp(model, deadline=deadline)
+) -> MasterSolution:
+    """Restricted master over the columns that obey a node's decisions.
+
+    Raises NodeInfeasibleError when some client has none, and
+    LpTimeoutError when the LP reaches ``deadline``.
+    """
+    f = instance.frame_size
+    columns, owner = [], []
+    for p, client in enumerate(instance.clients):
+        admissible = pool.admissible(client.id, decisions)
+        if not admissible:
+            raise NodeInfeasibleError(client.id)
+        columns += admissible
+        owner += [p] * len(admissible)
+    masks = np.array([col.mask for col in columns], dtype=float).reshape(-1, f)
+    owner = np.array(owner)
+    lp = solve_lp(build_master(masks, owner, instance), deadline=deadline)
     if lp.status == LpStatus.TIMED_OUT:
         raise LpTimeoutError("master LP")
     if lp.status != LpStatus.OPTIMAL:
         raise RuntimeError(f"master LP not optimal: {lp.status}")
-    values = lp.x.tolist()
-    weights = dict(zip(keys, values))
-    overalloc = dict(enumerate(values[len(keys):], start=1))
-    return MasterSolution(weights, overalloc, lp.objective), lp
-
-
-def extract_duals(lp: LpSolution, instance: ProblemInstance) -> DualPrices:
-    """Shadow prices of the capacity and convexity rows."""
-    if lp.status != LpStatus.OPTIMAL:
-        raise ValueError("duals only available for an optimal LP")
-    f = instance.frame_size
+    m = len(columns)
     # clip numerical noise below zero
     lam = np.maximum(0.0, -lp.duals[:f])
     sigma = {c.id: -d for c, d in zip(instance.clients, lp.duals[f:].tolist())}
-    return DualPrices(lam, sigma)
+    return MasterSolution(
+        columns, masks, owner, lp.x[:m], lp.x[m:], lp.objective, DualPrices(lam, sigma)
+    )
 
 
 def canonical_duals(
-    pool: ColumnPool,
-    decisions: Sequence[tuple],
-    instance: ProblemInstance,
-    master_objective: float,
-    fallback: Optional[DualPrices] = None,
-    deadline: float = math.inf,
+    master: MasterSolution, instance: ProblemInstance, deadline: float = math.inf
 ) -> DualPrices:
     """Minimal-price dual solution on the master's optimal dual face.
 
@@ -201,18 +183,18 @@ def canonical_duals(
     sum_j lambda_j: dual feasibility of every admissible column plus
     strong duality pin down the face, and the minimal prices make pricing
     deterministic and well-scaled.  When this LP fails or reaches
-    ``deadline``, ``fallback`` (the simplex duals) is returned instead.
+    ``deadline``, the master's simplex duals are returned instead.
     """
     f = instance.frame_size
     n = instance.n_clients
-    _, masks, owner = _admissible_columns(pool, decisions, instance)
+    masks, owner = master.masks, master.owner
     # reduced cost of every admissible column >= 0, then strong duality
     rc = np.hstack([-masks, np.equal.outer(owner, np.arange(n)).astype(float)])
     duality = np.concatenate([-np.ones(f), np.ones(n)])[None, :]
     A, row_lower, row_upper = stack_rows(
-        [(0, rc, masks.sum(axis=1) / f), (0, duality, [master_objective])], f + n
+        [(0, rc, masks.sum(axis=1) / f), (0, duality, [master.objective])], f + n
     )
-    row_lower[-1] = master_objective  # the one equality row
+    row_lower[-1] = master.objective  # the one equality row
     model = LinearModel(
         np.concatenate([np.ones(f), np.zeros(n)]),
         np.zeros(f + n),
@@ -222,9 +204,7 @@ def canonical_duals(
     )
     lp = solve_lp(model, deadline=deadline)
     if lp.status != LpStatus.OPTIMAL:
-        if fallback is not None:
-            return fallback
-        raise RuntimeError("dual-selection LP failed")
+        return master.duals
     lam = np.maximum(0.0, lp.x[:f])
     sigma = {c.id: v for c, v in zip(instance.clients, lp.x[f:].tolist())}
     return DualPrices(lam, sigma)
@@ -440,14 +420,11 @@ def column_generation(
     try:
         ensure_seed_columns(pool, decisions, instance, deadline, sub_models=sub_models)
         while True:
-            master, lp = solve_master(pool, decisions, instance, deadline)
+            master = solve_master(pool, decisions, instance, deadline)
             iteration += 1
-            duals = canonical_duals(
-                pool, decisions, instance, master.objective,
-                fallback=extract_duals(lp, instance), deadline=deadline,
-            )
+            duals = canonical_duals(master, instance, deadline)
             # admissible columns holding each slot, per client
-            _, masks, owner = _admissible_columns(pool, decisions, instance)
+            masks, owner = master.masks, master.owner
             slot_use = {c.id: masks[owner == p].sum(axis=0) for p, c in enumerate(instance.clients)}
             total_use = masks.sum(axis=0)
             priced: list[tuple[ClientRequirement, Column, float]] = []

@@ -128,13 +128,10 @@ def latency_slot_bound(req: ClientRequirement, frame_size: int) -> int:
 
 def slot_lower_bound(req: ClientRequirement, frame_size: int) -> int:
     """Lower bound on the number of slots any feasible schedule allocates."""
-    if req.required_rate == 0 and req.required_latency is None:
-        return 0
-    bound = max(rate_slot_bound(req, frame_size), latency_slot_bound(req, frame_size))
     if req.required_rate == 0:
         # a zero-rate client needs no service at all
         return 0
-    return bound
+    return max(rate_slot_bound(req, frame_size), latency_slot_bound(req, frame_size))
 
 
 def slot_bound_sum(instance: ProblemInstance) -> int:

@@ -30,6 +30,13 @@ def parse_number(text: str) -> Fraction:
         raise FormatError(f"cannot parse number {text!r}") from exc
 
 
+def _parse_frame_size(value) -> int:
+    """A frame size as written in a document: a JSON integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"frame size {value!r} is not an integer")
+    return value
+
+
 def format_number(value: Fraction) -> str:
     """Decimal string when exact, else "p/q"."""
     value = Fraction(value)
@@ -74,7 +81,7 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
 
 def instance_from_dict(data: dict) -> ProblemInstance:
     try:
-        frame_size = int(data["frame_size"])
+        frame_size = _parse_frame_size(data["frame_size"])
         raw_clients = data["clients"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad instance document: {exc}") from exc
@@ -89,6 +96,9 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad client entry {i}: {exc}") from exc
         latency = None if raw_latency is None else parse_number(str(raw_latency))
+        if any(c.name == name for c in clients):
+            # schedules and results name clients, so two of one name collide
+            raise FormatError(f"client entry {i}: duplicate name {name!r}")
         clients.append(ClientRequirement(i, name, rate, latency))
     return ProblemInstance(frame_size, tuple(clients))
 
@@ -124,7 +134,7 @@ def schedule_to_dict(schedule: Schedule, instance: ProblemInstance) -> dict:
 
 def schedule_from_dict(data: dict, instance: ProblemInstance) -> Schedule:
     try:
-        frame_size = int(data["frame_size"])
+        frame_size = _parse_frame_size(data["frame_size"])
         raw_slots = data["slots"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad schedule document: {exc}") from exc

@@ -20,7 +20,6 @@ from tdmcfg.colgen import (
     ColumnPool,
     canonical_duals,
     column_generation,
-    extract_duals,
     price_client,
     solve_master,
 )
@@ -57,11 +56,8 @@ def test_golden_trace(golden_instance, golden_seed_columns):
     pool = ColumnPool()
     for col in golden_seed_columns:
         pool.add(col)
-    master, lp = solve_master(pool, (), golden_instance)
-    duals = canonical_duals(
-        pool, (), golden_instance, master.objective,
-        fallback=extract_duals(lp, golden_instance),
-    )
+    master = solve_master(pool, (), golden_instance)
+    duals = canonical_duals(master, golden_instance)
     _, xi1 = price_client(golden_instance.client(1), duals, 10)
     _, xi2 = price_client(golden_instance.client(2), duals, 10)
     assert xi1 == pytest.approx(0.0, abs=1e-9)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import tdmcfg
@@ -16,11 +17,12 @@ from tdmcfg.bnp import (
     BnpNode,
     MAX_PROBABILITY,
     SEQUENTIAL,
+    branch_max_probability,
     branch_sequential,
     default_completion_thresholds,
     solve_bnp,
 )
-from tdmcfg.colgen import ColGenResult
+from tdmcfg.colgen import ColGenResult, Column, MasterSolution, zero_duals
 from tdmcfg.mip import MipStatus
 from tdmcfg.model import ClientRequirement, ProblemInstance
 from tdmcfg.serialize import load_instance
@@ -46,6 +48,46 @@ def test_branch_sequential_forbid_first(golden_instance):
     assert first.decisions[-1][:2] == second.decisions[-1][:2]
     assert first.decisions[-1][2] is False
     assert second.decisions[-1][2] is True
+
+
+def test_branch_max_probability_reads_the_master_weights():
+    # client 2 has the tighter latency, so it comes first in theta order
+    inst = ProblemInstance(4, (
+        ClientRequirement(1, "a", Fraction(1, 4)),
+        ClientRequirement(2, "b", Fraction(1, 4), Fraction(1)),
+    ))
+
+    def branch(decisions, weighted):
+        """(client, slot, allocate) of both children, for a master built by
+        hand from (client id, mask, weight), client-major."""
+        columns = [Column(c, mask) for c, mask, _ in weighted]
+        master = MasterSolution(
+            columns,
+            np.array([col.mask for col in columns], dtype=float),
+            np.array([c - 1 for c, _, _ in weighted]),
+            np.array([w for _, _, w in weighted]),
+            np.zeros(4), 0.0, zero_duals(inst),
+        )
+        children = branch_max_probability(BnpNode(decisions), master, inst)
+        return [child.decisions[-1] for child in children]
+
+    # the highest-weight slot of the first client in theta order, Allocate first
+    assert branch((), [
+        (1, (1, 0, 0, 0), 1.0), (2, (0, 1, 0, 1), 0.25), (2, (0, 0, 1, 1), 0.75),
+    ]) == [(2, 4, True), (2, 4, False)]
+    # a tie keeps the leftmost undecided slot
+    ties = [(1, (1, 0, 0, 0), 1.0), (2, (1, 0, 1, 0), 0.5), (2, (0, 1, 0, 1), 0.5)]
+    assert branch((), ties) == [(2, 1, True), (2, 1, False)]
+    assert branch(((2, 1, False),), ties) == [(2, 2, True), (2, 2, False)]
+    # client 2's free slots 3 and 4 carry no weight: client 1 is next
+    held = ((2, 1, True), (2, 2, True))
+    assert branch(held, [
+        (1, (0, 0, 1, 1), 1.0), (2, (1, 1, 0, 0), 1.0),
+    ]) == [(1, 3, True), (1, 3, False)]
+    # no free slot carries weight: reversed sequential order
+    assert branch(held, [
+        (1, (0, 0, 1, 1), 0.0), (2, (1, 1, 0, 0), 1.0),
+    ]) == [(2, 3, True), (2, 3, False)]
 
 
 def test_completion_thresholds_interpolate():

@@ -97,6 +97,19 @@ def test_malformed_files_exit_code_without_traceback(
     bad_schedule.write_text(json.dumps({"frame_size": 10, "slots": None}))
     assert main(["solve", str(bad_instance)]) == 1
     assert main(["verify", str(golden_path), str(bad_schedule)]) == 1
+    client = {"name": "a", "rate": "0.3", "latency_slots": "3"}
+    for k, doc in enumerate([
+        {"frame_size": 10.9, "clients": [client]},
+        {"frame_size": True, "clients": [client]},
+        {"frame_size": 10, "clients": [client, client]},  # duplicate names
+    ]):
+        path = tmp_path / f"bad_instance_{k}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == 1
+    for k, frame_size in enumerate((10.9, True)):
+        path = tmp_path / f"bad_schedule_{k}.json"
+        path.write_text(json.dumps({"frame_size": frame_size, "slots": [None] * 10}))
+        assert main(["verify", str(golden_path), str(path)]) == 1
     assert "cannot read instance" in caplog.text
     assert "cannot read input" in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err

@@ -17,7 +17,6 @@ from tdmcfg.colgen import (
     canonical_duals,
     column_generation,
     ensure_seed_columns,
-    extract_duals,
     price_client,
     slots_of,
     solve_master,
@@ -25,6 +24,7 @@ from tdmcfg.colgen import (
 )
 from tdmcfg.heuristics import allocated_slots, best_of_runs
 from tdmcfg.ilp import find_latency_violation
+from tdmcfg.mip import LpSolution, LpStatus
 from tdmcfg.model import ClientRequirement, ProblemInstance, latency_witness, slot_bound_sum
 from tdmcfg.serialize import load_instance
 from tdmcfg.usecase import GenSpec, generate
@@ -37,8 +37,8 @@ CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 def _integral_pair_slots(pool: ColumnPool) -> int:
     """Fewest total slots over conflict-free (c1, c2) column pairs."""
     best = None
-    for _, col1 in pool.admissible(1, ()):
-        for _, col2 in pool.admissible(2, ()):
+    for col1 in pool.admissible(1, ()):
+        for col2 in pool.admissible(2, ()):
             if any(a and b for a, b in zip(col1.mask, col2.mask)):
                 continue
             total = col1.slot_count + col2.slot_count
@@ -67,7 +67,7 @@ def test_column_admissible_respects_decisions(golden_seed_columns):
     pool = seeded_pool([a11])
 
     def admissible(decisions):
-        return pool.admissible(1, decisions) == [(0, a11)]
+        return pool.admissible(1, decisions) == [a11]
 
     assert admissible(())
     assert admissible(((1, 3, True),))
@@ -89,7 +89,7 @@ def test_master_values_track_pool_growth(golden_instance, golden_seed_columns):
         ([a11, a21, a22, a12, a23], Fraction(4, 5)),
     ]
     for columns, value in expected:
-        master, _ = solve_master(seeded_pool(columns), (), golden_instance)
+        master = solve_master(seeded_pool(columns), (), golden_instance)
         assert master.objective == pytest.approx(float(value), abs=1e-9)
 
 
@@ -97,15 +97,12 @@ def test_canonical_duals_satisfy_dual_conditions(
     golden_instance, golden_seed_columns
 ):
     pool = seeded_pool(golden_seed_columns)
-    master, lp = solve_master(pool, (), golden_instance)
-    duals = canonical_duals(
-        pool, (), golden_instance, master.objective,
-        fallback=extract_duals(lp, golden_instance),
-    )
+    master = solve_master(pool, (), golden_instance)
+    duals = canonical_duals(master, golden_instance)
     f = golden_instance.frame_size
     # dual feasibility: every pooled column has nonnegative reduced cost
     for client in golden_instance.clients:
-        for _, col in pool.admissible(client.id, ()):
+        for col in pool.admissible(client.id, ()):
             xi = (
                 sum(duals.lam[j - 1] for j in col.slots())
                 + col.slot_count / f
@@ -117,13 +114,21 @@ def test_canonical_duals_satisfy_dual_conditions(
     assert dual_value == pytest.approx(master.objective, abs=1e-6)
 
 
+def test_canonical_duals_fall_back_to_the_simplex_duals(
+    monkeypatch, golden_instance, golden_seed_columns
+):
+    master = solve_master(seeded_pool(golden_seed_columns), (), golden_instance)
+    # the master's simplex duals are optimal too: strong duality holds
+    dual_value = -master.duals.lam.sum() + sum(master.duals.sigma.values())
+    assert dual_value == pytest.approx(master.objective, abs=1e-6)
+    monkeypatch.setattr(colgen, "solve_lp", lambda model, deadline: LpSolution(LpStatus.TIMED_OUT))
+    assert canonical_duals(master, golden_instance) is master.duals
+
+
 def test_iteration_one_reduced_costs(golden_instance, golden_seed_columns):
     pool = seeded_pool(golden_seed_columns)
-    master, lp = solve_master(pool, (), golden_instance)
-    duals = canonical_duals(
-        pool, (), golden_instance, master.objective,
-        fallback=extract_duals(lp, golden_instance),
-    )
+    master = solve_master(pool, (), golden_instance)
+    duals = canonical_duals(master, golden_instance)
     _, xi1 = price_client(golden_instance.client(1), duals, 10)
     _, xi2 = price_client(golden_instance.client(2), duals, 10)
     assert xi1 == pytest.approx(0.0, abs=1e-6)
@@ -313,11 +318,12 @@ def test_master_holds_only_admissible_columns(golden_instance, golden_seed_colum
     a12 = Column(1, (0, 1, 1, 0, 1, 1, 0, 0, 1, 0))
     pool = seeded_pool([a11, a21, a12])
     decisions = ((1, 2, False),)  # a12 holds slot 2
-    model, keys = build_master(pool, decisions, golden_instance)
+    master = solve_master(pool, decisions, golden_instance)
+    model = build_master(master.masks, master.owner, golden_instance)
     admissible = [
-        (c.id, k) for c in golden_instance.clients for k, _ in pool.admissible(c.id, decisions)
+        col for c in golden_instance.clients for col in pool.admissible(c.id, decisions)
     ]
-    assert keys == admissible == [(1, 0), (2, 0)]
+    assert master.columns == admissible == [a11, a21]
     assert len(model.c) == len(admissible) + golden_instance.frame_size
 
 

@@ -250,10 +250,10 @@ def test_reused_handle_matches_fresh_handles(monkeypatch, golden_instance, golde
     pool = ColumnPool()
     for column in golden_seed_columns:
         pool.add(column)
-    master, _ = solve_master(pool, (), golden_instance)
+    master = solve_master(pool, (), golden_instance)
     captured = []
     monkeypatch.setattr(colgen, "solve_lp", lambda m, deadline: captured.append(m) or solve_lp(m))
-    canonical_duals(pool, (), golden_instance, master.objective)
+    canonical_duals(master, golden_instance)
     monkeypatch.undo()
     (dual_selection,) = captured
     # the strong-duality row, last, is the one equality row

@@ -198,11 +198,14 @@ def test_mask_bounds_matches_decision_loops():
             build_ilp(inst, decisions)
         pool = ColumnPool()
         for c, (lo, up) in bounds.items():
+            added = []  # the client's columns in pool order
             for _ in range(6):
                 # half of the masks drawn inside the bounds, half anywhere
                 bits = np.array([rng.randint(0, 1) for _ in range(f)])
                 mask = np.where(lo < up, bits, lo) if rng.random() < 0.5 else bits
-                pool.add(Column(c, mask.tolist()))
-            expected = [col for col in pool.columns(c) if column_admissible(col, decisions)]
-            assert [col for _, col in pool.admissible(c, decisions)] == expected
+                column = Column(c, mask.tolist())
+                if pool.add(column):
+                    added.append(column)
+            expected = [col for col in added if column_admissible(col, decisions)]
+            assert pool.admissible(c, decisions) == expected
     assert 30 <= conflicts <= 270

@@ -81,6 +81,14 @@ def test_instance_from_dict_errors():
         instance_from_dict({"clients": []})
     with pytest.raises(FormatError):
         instance_from_dict({"frame_size": 4, "clients": [{"rate": "0.5"}]})
+    client = {"name": "a", "rate": "0.3", "latency_slots": "3"}
+    # a frame size must be an integer, not one that rounds or casts to one
+    for frame_size in (10.9, True, "10"):
+        with pytest.raises(FormatError, match="not an integer"):
+            instance_from_dict({"frame_size": frame_size, "clients": [client]})
+    # two clients of one name collide in schedules and results
+    with pytest.raises(FormatError, match="duplicate name"):
+        instance_from_dict({"frame_size": 10, "clients": [client, client]})
 
 
 @pytest.mark.parametrize("clients", [None, 7, "c1", {"name": "c1", "rate": "0.5"}])
