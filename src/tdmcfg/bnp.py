@@ -17,8 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .colgen import (
-    ColumnPool, Column, MasterSolution, NodeInfeasibleError, SubModels, column_generation,
-    slots_of,
+    ColumnPool, Column, MasterSolution, NodeInfeasibleError, column_generation, slots_of,
 )
 from .heuristics import allocated_slots, best_of_runs
 from .ilp import solve_direct
@@ -90,23 +89,10 @@ class BnpStats:
         }
 
 
-def _interpolate(table: dict[int, float], n: int) -> float:
-    keys = sorted(table)
-    if n <= keys[0]:
-        return table[keys[0]]
-    if n >= keys[-1]:
-        return table[keys[-1]]
-    for lo, hi in zip(keys, keys[1:]):
-        if lo <= n <= hi:
-            t = (n - lo) / (hi - lo)
-            return table[lo] + t * (table[hi] - table[lo])
-    raise AssertionError
-
-
 def default_completion_thresholds(n_clients: int) -> tuple[float, float]:
-    return (
-        _interpolate(_COMPLETION_POSITIVE, n_clients),
-        _interpolate(_COMPLETION_NEGATIVE, n_clients),
+    return tuple(
+        float(np.interp(n_clients, list(table), list(table.values())))
+        for table in (_COMPLETION_POSITIVE, _COMPLETION_NEGATIVE)
     )
 
 
@@ -243,8 +229,6 @@ def solve_bnp(
     pos_pct, neg_pct = default_completion_thresholds(n)
 
     pool = ColumnPool()
-    # pricing sub-models shared by the heuristic and every node, for this solve only
-    sub_models: SubModels = {}
 
     def add_columns(schedule: Schedule) -> None:
         for client in instance.clients:
@@ -253,17 +237,14 @@ def solve_bnp(
     def warm_start(runs: int, seed: int, floor: int) -> None:
         """Generative runs: every schedule found seeds columns, the best one
         becomes the incumbent if it beats it."""
-        nonlocal incumbent, best_slots
         best, found = best_of_runs(
-            instance, runs, seed, warm_deadline - time.monotonic(),
-            floor=floor, sub_models=sub_models,
+            instance, runs, seed, warm_deadline - time.monotonic(), floor=floor
         )
         for schedule in found:
             add_columns(schedule)
         if best is not None:
             stats.heuristic_feasible = True
-            if allocated_slots(best) < best_slots:
-                incumbent, best_slots = best, allocated_slots(best)
+        improve(best)
 
     def ilp_slice() -> bool:
         """A third of the time left for the monolithic ILP at the root, so the
@@ -307,7 +288,7 @@ def solve_bnp(
         try:
             res = column_generation(
                 pool, node.decisions, instance,
-                incumbent_slots=best_slots, deadline=deadline, sub_models=sub_models,
+                incumbent_slots=best_slots, deadline=deadline,
             )
         except NodeInfeasibleError:
             stats.nodes_infeasible += 1

@@ -297,7 +297,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         writer.writerows(out_rows)
         writer.writerows(summary_rows)
     log.info("wrote %d rows to %s", len(out_rows) + len(summary_rows), target)
-    return EXIT_OK
+    errors = sum(r["status"].startswith("error: ") for r in results)
+    return EXIT_OK if errors == 0 else EXIT_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:

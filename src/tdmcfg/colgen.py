@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -210,12 +211,6 @@ def canonical_duals(
     return DualPrices(lam, sigma)
 
 
-# pricing sub-models by (client, frame size, slot count t); equal clients
-# can meet in instances of different frame sizes.  One dict serves one
-# public solve
-SubModels = dict[tuple[ClientRequirement, int, int], LinearModel]
-
-
 def _prefix_costs(cost: np.ndarray) -> np.ndarray:
     """sum_s cost_s * (S_s - S_{s-1}) as costs of S_0..S_f."""
     return np.concatenate([[-cost[0]], cost[:-1] - cost[1:], [cost[-1]]])
@@ -262,6 +257,19 @@ def build_sub_model(client: ClientRequirement, frame_size: int, t: int) -> Linea
     )
 
 
+# pricing sub-models by client, then by (frame size, slot count t).  A
+# sub-model depends on nothing else, so every solve may share it; an entry
+# lives as long as its client, so no model may refer back to the client
+_SUB_MODELS = weakref.WeakKeyDictionary()
+
+
+def _sub_model(client: ClientRequirement, frame_size: int, t: int) -> LinearModel:
+    models = _SUB_MODELS.setdefault(client, {})
+    if (frame_size, t) not in models:
+        models[frame_size, t] = build_sub_model(client, frame_size, t)
+    return models[frame_size, t]
+
+
 def price_client(
     client: ClientRequirement,
     duals: DualPrices,
@@ -269,8 +277,6 @@ def price_client(
     decisions: Sequence[tuple] = (),
     deadline: float = math.inf,
     tie_break: Optional[np.ndarray] = None,
-    *,
-    sub_models: Optional[SubModels] = None,
 ) -> tuple[Column, float]:
     """Minimize the reduced cost of a new column for one client, exactly.
 
@@ -282,17 +288,16 @@ def price_client(
     from below, and the bound grows with t: the search stops once it
     reaches the best mask found.  ``tie_break`` (slot s at index s - 1)
     adds an epsilon-scaled per-slot cost that steers the choice among
-    equal-cost columns without disturbing the primary objective.
-    ``sub_models`` holds the LPs built so far in the caller's solve, one
-    per (client, f, t); each solve sets a held LP's objective and the
-    right-hand sides of its slot box from the decisions.  Returns the
-    column and its reduced cost recomputed from the mask, free of any
-    tie-break perturbation.  Raises NodeInfeasibleError when no mask meets
-    the client's requirements under the branching decisions, and
-    LpTimeoutError when an LP reaches ``deadline``.
+    equal-cost columns without disturbing the primary objective.  Each LP
+    is built once per (client, f, t) and kept while the client lives; each
+    solve sets its objective and the right-hand sides of its slot box from
+    the decisions.  Returns the column and its reduced cost recomputed
+    from the mask, free of any tie-break perturbation.  Raises
+    NodeInfeasibleError when no mask meets the client's requirements under
+    the branching decisions, and LpTimeoutError when an LP reaches
+    ``deadline``.
     """
     f = frame_size
-    sub_models = {} if sub_models is None else sub_models
     lower, upper = mask_bounds(client.id, f, decisions)
     if (lower > upper).any():
         raise NodeInfeasibleError(client.id)
@@ -313,9 +318,7 @@ def price_client(
         mask = lower.copy()
         mask[free[:t - forced]] = 1.0
         if not client_feasible(mask.astype(int), client, f).feasible:
-            model = sub_models.get((client, f, t))
-            if model is None:
-                model = sub_models[client, f, t] = build_sub_model(client, f, t)
+            model = _sub_model(client, f, t)
             row_upper = np.concatenate([box, model.row_upper[2 * f:]])
             lp = solve_lp(
                 dataclasses.replace(model, c=prefix_costs, row_upper=row_upper),
@@ -347,7 +350,7 @@ def zero_duals(instance: ProblemInstance) -> DualPrices:
 
 def ensure_seed_columns(
     pool: ColumnPool, decisions: Sequence[tuple], instance: ProblemInstance,
-    deadline: float = math.inf, *, sub_models: Optional[SubModels] = None,
+    deadline: float = math.inf,
 ) -> None:
     """Guarantee every client a column that obeys the decisions.
 
@@ -357,10 +360,7 @@ def ensure_seed_columns(
     duals = zero_duals(instance)
     for client in instance.clients:
         if not pool.admissible(client.id, decisions):
-            column, _ = price_client(
-                client, duals, instance.frame_size, decisions, deadline=deadline,
-                sub_models=sub_models,
-            )
+            column, _ = price_client(client, duals, instance.frame_size, decisions, deadline)
             pool.add(column)
 
 
@@ -387,7 +387,6 @@ def column_generation(
     *,
     incumbent_slots: Optional[int] = None,
     deadline: float = math.inf,
-    sub_models: Optional[SubModels] = None,
 ) -> ColGenResult:
     """Iterate master solves and pricing until no client prices negatively.
 
@@ -402,10 +401,8 @@ def column_generation(
     ``deadline`` the loop returns "timed_out" with the best bound it has:
     the best Lagrangian value, or the slot-bound sum if that is higher.
     ``trace`` receives one (iteration, master objective,
-    {client id: reduced cost}) per iteration.  ``sub_models`` (a new dict
-    by default) is handed to every pricing call.
+    {client id: reduced cost}) per iteration.
     """
-    sub_models = {} if sub_models is None else sub_models
     f = instance.frame_size
     n = instance.n_clients
     master: Optional[MasterSolution] = None
@@ -418,7 +415,7 @@ def column_generation(
         return ColGenResult(master, bound, status, iteration, added_total, lagrangians)
 
     try:
-        ensure_seed_columns(pool, decisions, instance, deadline, sub_models=sub_models)
+        ensure_seed_columns(pool, decisions, instance, deadline)
         while True:
             master = solve_master(pool, decisions, instance, deadline)
             iteration += 1
@@ -433,7 +430,7 @@ def column_generation(
                     raise LpTimeoutError("between pricing calls")
                 column, xi = price_client(
                     client, duals, f, decisions, deadline=deadline,
-                    tie_break=total_use - slot_use[client.id], sub_models=sub_models,
+                    tie_break=total_use - slot_use[client.id],
                 )
                 priced.append((client, column, xi))
             if trace is not None:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .colgen import DualPrices, LpTimeoutError, NodeInfeasibleError, SubModels, price_client
+from .colgen import DualPrices, LpTimeoutError, NodeInfeasibleError, price_client
 from .model import ProblemInstance, Schedule, slot_bound_sum, slot_lower_bound
 from .verify import schedule_feasible
 
@@ -61,16 +61,13 @@ def slot_prices(
 
 
 def generative(
-    instance: ProblemInstance, *, seed: int = 0, deadline: float = math.inf,
-    sub_models: Optional[SubModels] = None,
+    instance: ProblemInstance, *, seed: int = 0, deadline: float = math.inf
 ) -> tuple[Optional[Schedule], str]:
     """Round-robin pricing runs until the composite schedule is collision-free.
 
     ``seed`` drives the random tie-breaks; past ``deadline`` (a
-    ``time.monotonic()`` value) the run gives up.  ``sub_models`` (a new
-    dict by default) is handed to every pricing call.
+    ``time.monotonic()`` value) the run gives up.
     """
-    sub_models = {} if sub_models is None else sub_models
     rng = random.Random(seed)
     f = instance.frame_size
     n = instance.n_clients
@@ -87,8 +84,7 @@ def generative(
         duals = DualPrices(lam=prices, sigma={})
         try:
             column, _ = price_client(
-                clients[position], duals, f, deadline=deadline, tie_break=tie_break,
-                sub_models=sub_models,
+                clients[position], duals, f, deadline=deadline, tie_break=tie_break
             )
         except (NodeInfeasibleError, LpTimeoutError):
             return None, NO_FEASIBLE
@@ -118,24 +114,19 @@ def best_of_runs(
     time_limit: Optional[float] = None,
     *,
     floor: Optional[int] = None,
-    sub_models: Optional[SubModels] = None,
 ) -> tuple[Optional[Schedule], list[Schedule]]:
     """Up to ``runs`` generative runs with seeds ``seed``, ``seed + 1``, ...;
     the schedule with the fewest slots (the first on ties) and every feasible
     schedule in run order.  Stops at a schedule of at most ``floor`` slots,
     a lower bound on every schedule (the slot-bound sum by default).
     ``time_limit`` (seconds) covers all runs; a run begun after it ends at once.
-    All runs share ``sub_models`` (a new dict by default).
     """
-    sub_models = {} if sub_models is None else sub_models
     floor = slot_bound_sum(instance) if floor is None else floor
     deadline = time.monotonic() + (math.inf if time_limit is None else time_limit)
     best: Optional[Schedule] = None
     found: list[Schedule] = []
     for k in range(runs):
-        schedule, _ = generative(
-            instance, seed=seed + k, deadline=deadline, sub_models=sub_models
-        )
+        schedule, _ = generative(instance, seed=seed + k, deadline=deadline)
         if schedule is None:
             continue
         found.append(schedule)

@@ -1,8 +1,10 @@
 """Branch-and-price driver: branching, completion, warm start, bounds."""
 
+import gc
 import math
 import random
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import tdmcfg
-from tdmcfg import bnp, heuristics
+from tdmcfg import bnp, colgen, heuristics
 from tdmcfg.bnp import (
     BnpConfig,
     BnpNode,
@@ -354,35 +356,47 @@ def test_solve_bnp_stats_are_populated(golden_instance):
     assert status == MipStatus.OPTIMAL
     d = stats.as_dict()
     assert "nodes_opened" in d and "columns_generated" in d
+    # the heuristic's schedule is the answer, and it counts as an update
+    assert d["heuristic_feasible"] and d["nodes_opened"] == 0
+    assert d["incumbent_updates"] == 1
     for lb, estimates in stats.node_log:
         for est in estimates:
             assert est <= lb + 1e-9
 
 
-def test_solves_in_one_process_share_no_state(monkeypatch):
-    # pricing sub-models live for one solve and the LP handle is reset per
-    # model: solving another instance in between changes nothing
+def test_repeated_solves_in_one_process_agree(monkeypatch):
+    # pricing keeps its sub-models between solves but never changes them,
+    # and the LP handle is reset per model: a solve from built sub-models,
+    # with another instance solved in between, gives the first answer again
+    monkeypatch.setattr(colgen, "_SUB_MODELS", weakref.WeakKeyDictionary())
     ld = load_instance(CORPUS / "ld4-s7.json")
     hd_video = load_instance(Path(tdmcfg.__file__).parent / "data" / "hd-video.json")
-    caches = []  # per solve, the sub-model dict of every heuristic run and node
-    for module, name in ((heuristics, "generative"), (bnp, "column_generation")):
-        fn = getattr(module, name)
-
-        def recording(*args, _fn=fn, **kwargs):
-            caches[-1].append(kwargs["sub_models"])
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, recording)
-    results = []
-    for instance in (ld, hd_video, ld):
-        caches.append([])
-        results.append(solve_bnp(instance))
-    first, _, again = results
+    first, _, again = [solve_bnp(instance) for instance in (ld, hd_video, ld)]
     assert first[4].nodes_opened > 0  # the tree is searched, not just the heuristic
     assert first[:4] == again[:4]
     assert first[4].as_dict() == again[4].as_dict()
     assert first[4].node_log == again[4].node_log
-    # one dict per solve, shared by the heuristic and every node
-    for used in caches:
-        assert used and all(c is used[0] for c in used)
-    assert caches[0][0] is not caches[2][0]
+
+
+def test_sub_models_live_as_long_as_their_clients(monkeypatch):
+    # a second solve of the same instance builds no sub-model, and once the
+    # instance is gone its clients' sub-models leave the memo
+    monkeypatch.setattr(colgen, "_SUB_MODELS", weakref.WeakKeyDictionary())
+    builds = [0]
+    build = colgen.build_sub_model
+
+    def counting_build(*args):
+        builds[0] += 1
+        return build(*args)
+
+    monkeypatch.setattr(colgen, "build_sub_model", counting_build)
+    instance = load_instance(CORPUS / "ld4-s7.json")
+    solve_bnp(instance)
+    first = builds[0]
+    assert first > 0 and len(colgen._SUB_MODELS) > 0
+    solve_bnp(instance)
+    assert builds[0] == first
+    gone = weakref.ref(instance)
+    del instance
+    gc.collect()
+    assert gone() is None and len(colgen._SUB_MODELS) == 0

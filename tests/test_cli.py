@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from tdmcfg import heuristics
+from tdmcfg import cli, heuristics
 from tdmcfg.cli import main
 from tdmcfg.model import Schedule
 from tdmcfg.serialize import save_instance, save_schedule
@@ -167,7 +167,7 @@ def test_verify_frame_mismatch_exit_code(tmp_path, golden_path, golden_instance)
     assert main(["verify", str(golden_path), str(sched_path)]) == 1
 
 
-def test_bench_produces_well_formed_csv(tmp_path):
+def test_bench_produces_well_formed_csv(tmp_path, monkeypatch):
     gen_dir = tmp_path / "bench_in"
     assert (
         main(["generate", "BD", "--n", "8", "--count", "2", "--seed", "7",
@@ -175,18 +175,34 @@ def test_bench_produces_well_formed_csv(tmp_path):
         == 0
     )
     out_csv = tmp_path / "bench.csv"
-    code = main(
-        ["bench", str(gen_dir / "manifest.csv"),
-         "--methods", "heuristic,continuous", "--time-limit", "60",
-         "--out", str(out_csv)]
-    )
-    assert code == 0
+    args = ["bench", str(gen_dir / "manifest.csv"), "--methods", "bnp,heuristic,continuous",
+            "--time-limit", "60", "--out", str(out_csv)]
+    assert main(args) == 0
     with open(out_csv, newline="") as fh:
         rows = list(csv.DictReader(fh))
     data_rows = [r for r in rows if r["instance"] != "SUMMARY"]
     summary_rows = [r for r in rows if r["instance"] == "SUMMARY"]
-    assert len(data_rows) == 4  # 2 instances x 2 methods
-    assert {r["method"] for r in summary_rows} == {"heuristic", "continuous"}
+    assert len(data_rows) == 6  # 2 instances x 3 methods
+    assert {r["method"] for r in summary_rows} == {"bnp", "heuristic", "continuous"}
+    # the continuous baseline may find no schedule; no row is an error
+    allowed = {"bnp": {"optimal"}, "heuristic": {"feasible"},
+               "continuous": {"feasible", "no_feasible"}}
     for row in data_rows:
-        assert row["status"]
+        assert row["status"] in allowed[row["method"]], row
         assert row["runtime"]
+
+    # the first row fails: every row is still written, and the exit code is 1
+    real, calls = cli.run_method, []
+
+    def first_call_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("boom")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_method", first_call_fails)
+    assert main(args) == 1
+    with open(out_csv, newline="") as fh:
+        statuses = [r["status"] for r in csv.DictReader(fh) if r["instance"] != "SUMMARY"]
+    assert len(statuses) == 6 and statuses[0] == "error: boom"
+    assert not any(status.startswith("error") for status in statuses[1:])

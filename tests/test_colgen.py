@@ -1,6 +1,7 @@
 """Column generation: master, duals, pricing, node admissibility."""
 
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -327,13 +328,28 @@ def test_master_holds_only_admissible_columns(golden_instance, golden_seed_colum
     assert len(model.c) == len(admissible) + golden_instance.frame_size
 
 
+def _price_fresh(*args, **kwargs):
+    """``price_client`` with every sub-model built anew, outside the memo."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(colgen, "_sub_model", colgen.build_sub_model)
+        return price_client(*args, **kwargs)
+
+
+def _memo_keys(clients) -> set:
+    """The (client, f, t) the memo holds for the given clients."""
+    return {
+        (client, f, t) for client in clients for f, t in colgen._SUB_MODELS.get(client, {})
+    }
+
+
 def test_shared_sub_models_price_like_fresh_ones(monkeypatch):
-    # one cache over many clients, prices and decision sets: every answer
-    # is bitwise the answer priced without it, the cache holds one
-    # sub-model per (client, f, t) whatever decisions it was priced under,
-    # and pricing leaves a cached model as it was built
+    # the memo over many clients, prices and decision sets: every answer is
+    # bitwise the answer priced from freshly built sub-models, the memo
+    # holds one sub-model per (client, f, t) whatever decisions it was
+    # priced under, and pricing leaves a cached model as it was built
     from conftest import random_instance
 
+    monkeypatch.setattr(colgen, "_SUB_MODELS", weakref.WeakKeyDictionary())
     shared_run = [False]
     built = []  # the shared run's build keys
     lps = []  # the shared run's LPs: (its sub-model's matrix, slot box bounds)
@@ -353,10 +369,11 @@ def test_shared_sub_models_price_like_fresh_ones(monkeypatch):
     monkeypatch.setattr(colgen, "build_sub_model", counting_build)
     monkeypatch.setattr(colgen, "solve_lp", counting_solve)
     rng = random.Random(7)
-    sub_models = {}
+    clients = []  # held, so that the memo keeps their sub-models
     priced = 0
     for _ in range(12):
         instance = random_instance(rng, max_clients=3, max_frame=11)
+        clients += instance.clients
         f = instance.frame_size
         decision_sets = [()] + [
             tuple(
@@ -374,12 +391,11 @@ def test_shared_sub_models_price_like_fresh_ones(monkeypatch):
             for client in instance.clients:
                 for decisions in decision_sets:
                     answers = []
-                    for cache in (sub_models, None):
-                        shared_run[0] = cache is not None
+                    for pricing in (price_client, _price_fresh):
+                        shared_run[0] = pricing is price_client
                         try:
-                            answers.append(price_client(
+                            answers.append(pricing(
                                 client, duals, f, decisions, tie_break=tie_break,
-                                sub_models=cache,
                             ))
                         except NodeInfeasibleError:
                             answers.append(None)
@@ -389,12 +405,14 @@ def test_shared_sub_models_price_like_fresh_ones(monkeypatch):
                         priced += 1
                         assert shared[0].mask == fresh[0].mask
                         assert shared[1] == fresh[1]  # bitwise
-    assert priced > 100 and len(built) == len(set(built)) == len(sub_models) > 10
-    assert set(built) == set(sub_models)
+    memo = _memo_keys(clients)
+    assert priced > 100 and len(built) == len(set(built)) == len(memo) > 10
+    assert set(built) == memo
+    cached = {key: colgen._SUB_MODELS[key[0]][key[1:]] for key in memo}
     # several decision sets reached the LP of one sub-model
-    assert {a for a, _ in lps} == {id(m.A) for m in sub_models.values()}
-    assert len(set(lps)) > len(sub_models)
-    for (client, f, t), m in sub_models.items():
+    assert {a for a, _ in lps} == {id(m.A) for m in cached.values()}
+    assert len(set(lps)) > len(memo)
+    for (client, f, t), m in cached.items():
         again = build(client, f, t)
         assert not m.c.any() and np.array_equal(m.row_upper, again.row_upper)
     # the shared run solved more LPs than it built: cached models were reused
@@ -402,22 +420,22 @@ def test_shared_sub_models_price_like_fresh_ones(monkeypatch):
 
 
 def test_equal_clients_of_other_frame_sizes_share_no_sub_model(monkeypatch):
-    # one dict prices the same client in instances of two frame sizes; the
+    # the memo prices the same client in instances of two frame sizes; its
     # key holds f, so each size gets its own sub-models and every answer is
-    # bitwise the answer priced without the dict
+    # bitwise the answer priced from freshly built ones
+    monkeypatch.setattr(colgen, "_SUB_MODELS", weakref.WeakKeyDictionary())
     client = ClientRequirement(1, "c1", Fraction(1, 4), Fraction(3))
     lps = []
     solve = colgen.solve_lp
     monkeypatch.setattr(colgen, "solve_lp", lambda m, **kw: lps.append(m) or solve(m, **kw))
     rng = np.random.default_rng(3)
-    sub_models = {}
     for f in (8, 12, 8, 12):
         for decisions in ((), ((1, 2, True),), ((1, 1, False), (2, 5, True))):
             duals = DualPrices(rng.uniform(0.0, 1.0, f), {1: 0.5})
-            shared = price_client(client, duals, f, decisions, sub_models=sub_models)
-            fresh = price_client(client, duals, f, decisions)
+            shared = price_client(client, duals, f, decisions)
+            fresh = _price_fresh(client, duals, f, decisions)
             assert shared[0].mask == fresh[0].mask and shared[1] == fresh[1]
     assert lps  # the cheapest slots alone break the latency bound
-    assert {f for _, f, _ in sub_models} == {8, 12}
-    for (_, f, _), m in sub_models.items():
+    assert {f for _, f, _ in _memo_keys([client])} == {8, 12}
+    for (f, _), m in colgen._SUB_MODELS[client].items():
         assert len(m.c) == f + 1
