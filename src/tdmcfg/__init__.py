@@ -2,14 +2,12 @@
 
 from .model import (
     ClientRequirement,
-    Column,
     ProblemInstance,
     Schedule,
 )
 
 __all__ = [
     "ClientRequirement",
-    "Column",
     "ProblemInstance",
     "Schedule",
 ]

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .colgen import (
-    ColumnPool, Column, MasterSolution, NodeInfeasibleError, column_generation, slots_of,
+    ColumnPool, MasterSolution, NodeInfeasibleError, column_generation, slots_of,
 )
 from .heuristics import allocated_slots, best_of_runs
 from .ilp import solve_direct
@@ -232,7 +232,7 @@ def solve_bnp(
 
     def add_columns(schedule: Schedule) -> None:
         for client in instance.clients:
-            pool.add(Column(client.id, schedule.mask(client.id)))
+            pool.add(client.id, schedule.mask(client.id))
 
     def warm_start(runs: int, seed: int, floor: int) -> None:
         """Generative runs: every schedule found seeds columns, the best one
@@ -314,10 +314,10 @@ def solve_bnp(
             and master.is_integral()
             and master.conflict_free()
         ):
-            chosen = master.chosen_columns()
+            chosen = master.chosen()
             if len(chosen) == n:
                 schedule = Schedule.from_masks(
-                    f, {cid: col.mask for cid, col in chosen.items()}
+                    f, {instance.clients[p].id: mask for p, mask in chosen.items()}
                 )
                 if not schedule_feasible(schedule, instance).feasible:
                     # each pooled column meets its client's requirements, so a
@@ -335,10 +335,11 @@ def solve_bnp(
         ):
             stats.completions += 1
             schedule, status = complete_with_ilp(node, instance, deadline)
-            if status == MipStatus.TIMED_OUT:
+            improve(schedule)
+            if status not in (MipStatus.OPTIMAL, MipStatus.INFEASIBLE):
+                # out of time, maybe with a schedule: the subtree is not done
                 stack.append(reopened)
                 break
-            improve(schedule)
             continue
         try:
             if branching == SEQUENTIAL:

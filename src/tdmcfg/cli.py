@@ -60,7 +60,8 @@ def run_method(
         schedule, status, objective, bound, stats = solve_bnp(instance, config)
         return schedule, status.value, objective, bound, stats.as_dict()
     if method == "heuristic":
-        best, _ = best_of_runs(instance, heuristic_runs or 1, seed, time_limit)
+        runs = 1 if heuristic_runs is None else heuristic_runs
+        best, _ = best_of_runs(instance, runs, seed, time_limit)
         if best is None:
             return None, "no_feasible", None, -math.inf, {}
         return best, "feasible", _phi(best, instance), -math.inf, {}
@@ -301,8 +302,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK if errors == 0 else EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments exit with EXIT_ERROR: argparse's 2 means infeasible here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def count(text: str) -> int:
+    """A count of at least 0, read from a command-line argument."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tdmcfg",
         description="Minimal-allocation TDM schedule synthesis under "
         "latency-rate requirements",
@@ -323,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "sequential", "max_probability"],
         default="auto",
     )
-    solve.add_argument("--heuristic-runs", type=int, default=None)
+    solve.add_argument("--heuristic-runs", type=count, default=None)
     solve.add_argument("--out", default=None, help="result JSON path (default stdout)")
     solve.set_defaults(func=cmd_solve)
 

@@ -8,8 +8,10 @@ difference constraints on prefix sums (a circular-ones structure, as in
 Bartholdi, Orlin and Ratliff 1980), so one LP per t has an integral
 optimal vertex.
 
-Sign convention: sigma values are stored so the reduced cost of a column
-is sum_j mask_j * lambda_j + slot_count / f - sigma directly.
+A column is one client's 0/1 slot mask, slot s at index s - 1.  Slot
+prices ``lam`` are indexed like a mask and client prices ``sigma`` by
+client position, stored so that the reduced cost of a column is
+sum_j mask_j * lambda_j + slot_count / f - sigma directly.
 
 The master's variables are the columns that obey the node's decisions
 (client-major, pool order) and then one over-allocation ``y`` per slot;
@@ -34,7 +36,7 @@ from scipy import sparse
 
 from .mip import LinearModel, LpStatus, solve_lp, stack_rows
 from .model import (
-    ClientRequirement, Column, ProblemInstance, mask_bounds, slot_bound_sum, slot_lower_bound,
+    ClientRequirement, ProblemInstance, mask_bounds, slot_bound_sum, slot_lower_bound,
     window_lengths,
 )
 from .verify import client_feasible
@@ -58,56 +60,47 @@ class LpTimeoutError(Exception):
 
 
 class ColumnPool:
-    """Per-client column lists with global (client, mask) deduplication."""
+    """Each client's distinct masks, in the order they were added."""
 
     def __init__(self):
-        self._columns: dict[int, list[Column]] = {}
-        self._seen: set[tuple[int, tuple[int, ...]]] = set()
+        self._masks: dict[int, dict[tuple[int, ...], None]] = {}
 
-    def add(self, column: Column) -> bool:
-        key = (column.client, column.mask)
-        if key in self._seen:
+    def add(self, client_id: int, mask) -> bool:
+        """Pool a 0/1 mask of the client; False if it is pooled already."""
+        masks = self._masks.setdefault(client_id, {})
+        key = tuple(np.asarray(mask, dtype=int).tolist())
+        if key in masks:
             return False
-        self._seen.add(key)
-        self._columns.setdefault(column.client, []).append(column)
+        masks[key] = None
         return True
 
-    def admissible(self, client_id: int, decisions: Sequence[tuple]) -> list[Column]:
-        """The client's columns that obey the decisions, in pool order."""
-        columns = self._columns.get(client_id, [])
-        if not columns:
-            return []
-        masks = np.array([col.mask for col in columns])
+    def admissible(self, client_id: int, decisions: Sequence[tuple]) -> np.ndarray:
+        """The client's masks that obey the decisions, as rows in pool order."""
+        masks = np.array(list(self._masks.get(client_id, ())), dtype=float)
+        if not len(masks):
+            return masks
         lower, upper = mask_bounds(client_id, masks.shape[1], decisions)
-        keep = ((lower <= masks) & (masks <= upper)).all(axis=1)
-        return [columns[k] for k in np.flatnonzero(keep).tolist()]
-
-
-@dataclass
-class DualPrices:
-    lam: np.ndarray  # price of slot s at index s - 1
-    sigma: dict[int, float]  # by client id
+        return masks[((lower <= masks) & (masks <= upper)).all(axis=1)]
 
 
 @dataclass
 class MasterSolution:
     """A node's restricted master at its optimum.
 
-    Column k is ``columns[k]``, with mask ``masks[k]`` (slot s at index
-    s - 1), weight ``weights[k]`` and client ``instance.clients[owner[k]]``;
-    the columns obey the node's decisions and run client-major in pool
-    order.  ``overalloc`` holds the over-allocation of slot s at index
-    s - 1, and ``duals`` the simplex duals of the capacity and convexity
-    rows.
+    Column k has mask ``masks[k]``, weight ``weights[k]`` and client
+    ``instance.clients[owner[k]]``; the columns obey the node's decisions
+    and run client-major in pool order.  ``overalloc`` holds the
+    over-allocation of each slot, and ``lam`` and ``sigma`` the simplex
+    duals of the capacity and convexity rows.
     """
 
-    columns: list[Column]
     masks: np.ndarray
     owner: np.ndarray
     weights: np.ndarray
     overalloc: np.ndarray
     objective: float
-    duals: DualPrices
+    lam: np.ndarray
+    sigma: np.ndarray
 
     def is_integral(self, tol: float = 1e-6) -> bool:
         return bool(((self.weights <= tol) | (self.weights >= 1 - tol)).all())
@@ -115,11 +108,11 @@ class MasterSolution:
     def conflict_free(self, tol: float = 1e-6) -> bool:
         return bool((self.overalloc <= tol).all())
 
-    def chosen_columns(self, tol: float = 1e-6) -> dict[int, Column]:
-        chosen: dict[int, Column] = {}
-        for col, w in zip(self.columns, self.weights.tolist()):
-            if w >= 1 - tol and col.client not in chosen:
-                chosen[col.client] = col
+    def chosen(self, tol: float = 1e-6) -> dict[int, np.ndarray]:
+        """Each client's first column at weight 1, by client position."""
+        chosen: dict[int, np.ndarray] = {}
+        for k in np.flatnonzero(self.weights >= 1 - tol).tolist():
+            chosen.setdefault(int(self.owner[k]), self.masks[k])
         return chosen
 
 
@@ -150,32 +143,31 @@ def solve_master(
     LpTimeoutError when the LP reaches ``deadline``.
     """
     f = instance.frame_size
-    columns, owner = [], []
+    masks, owner = [], []
     for p, client in enumerate(instance.clients):
         admissible = pool.admissible(client.id, decisions)
-        if not admissible:
+        if not len(admissible):
             raise NodeInfeasibleError(client.id)
-        columns += admissible
+        masks.append(admissible)
         owner += [p] * len(admissible)
-    masks = np.array([col.mask for col in columns], dtype=float).reshape(-1, f)
+    masks = np.vstack(masks)
     owner = np.array(owner)
     lp = solve_lp(build_master(masks, owner, instance), deadline=deadline)
     if lp.status == LpStatus.TIMED_OUT:
         raise LpTimeoutError("master LP")
     if lp.status != LpStatus.OPTIMAL:
         raise RuntimeError(f"master LP not optimal: {lp.status}")
-    m = len(columns)
+    m = len(owner)
     # clip numerical noise below zero
     lam = np.maximum(0.0, -lp.duals[:f])
-    sigma = {c.id: -d for c, d in zip(instance.clients, lp.duals[f:].tolist())}
     return MasterSolution(
-        columns, masks, owner, lp.x[:m], lp.x[m:], lp.objective, DualPrices(lam, sigma)
+        masks, owner, lp.x[:m], lp.x[m:], lp.objective, lam, -lp.duals[f:]
     )
 
 
 def canonical_duals(
     master: MasterSolution, instance: ProblemInstance, deadline: float = math.inf
-) -> DualPrices:
+) -> tuple[np.ndarray, np.ndarray]:
     """Minimal-price dual solution on the master's optimal dual face.
 
     The master LP is dual-degenerate whenever a slot is covered exactly
@@ -183,8 +175,8 @@ def canonical_duals(
     basis choice.  Among all optimal duals we pick the one minimizing
     sum_j lambda_j: dual feasibility of every admissible column plus
     strong duality pin down the face, and the minimal prices make pricing
-    deterministic and well-scaled.  When this LP fails or reaches
-    ``deadline``, the master's simplex duals are returned instead.
+    deterministic and well-scaled.  Returns ``(lam, sigma)``; when this LP
+    fails or reaches ``deadline``, the master's simplex duals instead.
     """
     f = instance.frame_size
     n = instance.n_clients
@@ -205,10 +197,8 @@ def canonical_duals(
     )
     lp = solve_lp(model, deadline=deadline)
     if lp.status != LpStatus.OPTIMAL:
-        return master.duals
-    lam = np.maximum(0.0, lp.x[:f])
-    sigma = {c.id: v for c, v in zip(instance.clients, lp.x[f:].tolist())}
-    return DualPrices(lam, sigma)
+        return master.lam, master.sigma
+    return np.maximum(0.0, lp.x[:f]), lp.x[f:]
 
 
 def _prefix_costs(cost: np.ndarray) -> np.ndarray:
@@ -272,13 +262,13 @@ def _sub_model(client: ClientRequirement, frame_size: int, t: int) -> LinearMode
 
 def price_client(
     client: ClientRequirement,
-    duals: DualPrices,
+    lam: np.ndarray,
     frame_size: int,
     decisions: Sequence[tuple] = (),
     deadline: float = math.inf,
     tie_break: Optional[np.ndarray] = None,
-) -> tuple[Column, float]:
-    """Minimize the reduced cost of a new column for one client, exactly.
+) -> tuple[np.ndarray, float]:
+    """The cheapest feasible mask for one client at slot prices ``lam``, exactly.
 
     For each slot count t from the client's lower bound up, the cheapest
     feasible mask of t slots is the forced slots plus the t - forced
@@ -291,8 +281,9 @@ def price_client(
     equal-cost columns without disturbing the primary objective.  Each LP
     is built once per (client, f, t) and kept while the client lives; each
     solve sets its objective and the right-hand sides of its slot box from
-    the decisions.  Returns the column and its reduced cost recomputed
-    from the mask, free of any tie-break perturbation.  Raises
+    the decisions.  Returns the mask (an integer 0/1 array) and its cost,
+    the prices of its slots plus slots / f, recomputed from the mask free
+    of any tie-break perturbation.  Raises
     NodeInfeasibleError when no mask meets the client's requirements under
     the branching decisions, and LpTimeoutError when an LP reaches
     ``deadline``.
@@ -301,7 +292,7 @@ def price_client(
     lower, upper = mask_bounds(client.id, f, decisions)
     if (lower > upper).any():
         raise NodeInfeasibleError(client.id)
-    cost = duals.lam + 1.0 / f
+    cost = lam + 1.0 / f
     if tie_break is not None:
         cost += TIE_BREAK_EPS * tie_break
     forced = int(lower.sum())
@@ -333,19 +324,10 @@ def price_client(
             best, best_cost = mask, cost @ mask
     if best is None:
         raise NodeInfeasibleError(client.id)
-    column = Column(client.id, best.astype(int).tolist())
-    if not client_feasible(column.mask, client, f).feasible:
+    mask = best.astype(int)
+    if not client_feasible(mask, client, f).feasible:
         raise RuntimeError(f"pricing gave client {client.id} an infeasible mask")
-    reduced_cost = (
-        sum(duals.lam[best == 1].tolist())
-        + column.slot_count / frame_size
-        - duals.sigma.get(client.id, 0.0)
-    )
-    return column, reduced_cost
-
-
-def zero_duals(instance: ProblemInstance) -> DualPrices:
-    return DualPrices(np.zeros(instance.frame_size), {c.id: 0.0 for c in instance.clients})
+    return mask, sum(lam[best == 1].tolist()) + int(mask.sum()) / f
 
 
 def ensure_seed_columns(
@@ -357,11 +339,11 @@ def ensure_seed_columns(
     Raises NodeInfeasibleError when some client cannot have one at all,
     and LpTimeoutError when ``deadline`` passes first.
     """
-    duals = zero_duals(instance)
+    f = instance.frame_size
     for client in instance.clients:
-        if not pool.admissible(client.id, decisions):
-            column, _ = price_client(client, duals, instance.frame_size, decisions, deadline)
-            pool.add(column)
+        if not len(pool.admissible(client.id, decisions)):
+            mask, _ = price_client(client, np.zeros(f), f, decisions, deadline)
+            pool.add(client.id, mask)
 
 
 @dataclass
@@ -419,25 +401,26 @@ def column_generation(
         while True:
             master = solve_master(pool, decisions, instance, deadline)
             iteration += 1
-            duals = canonical_duals(master, instance, deadline)
-            # admissible columns holding each slot, per client
+            lam, sigma = canonical_duals(master, instance, deadline)
+            sigma = sigma.tolist()
             masks, owner = master.masks, master.owner
-            slot_use = {c.id: masks[owner == p].sum(axis=0) for p, c in enumerate(instance.clients)}
             total_use = masks.sum(axis=0)
-            priced: list[tuple[ClientRequirement, Column, float]] = []
-            for client in sorted(instance.clients, key=lambda c: c.id):
+            priced: list[tuple[ClientRequirement, np.ndarray, float]] = []
+            for p in sorted(range(n), key=lambda p: instance.clients[p].id):
                 if time.monotonic() >= deadline:
                     raise LpTimeoutError("between pricing calls")
-                column, xi = price_client(
-                    client, duals, f, decisions, deadline=deadline,
-                    tie_break=total_use - slot_use[client.id],
+                client = instance.clients[p]
+                # the tie-break: how many other admissible columns hold each slot
+                mask, cost = price_client(
+                    client, lam, f, decisions, deadline=deadline,
+                    tie_break=total_use - masks[owner == p].sum(axis=0),
                 )
-                priced.append((client, column, xi))
+                priced.append((client, mask, cost - sigma[p]))
             if trace is not None:
                 trace.append(
                     (iteration, master.objective, {c.id: xi for c, _, xi in priced})
                 )
-            negative = [column for _, column, xi in priced if xi < -REDUCED_COST_TOL]
+            negative = [(c, mask) for c, mask, xi in priced if xi < -REDUCED_COST_TOL]
             if not negative:
                 return stop("optimal", master.objective)
             lagrangian = master.objective + sum(min(0.0, xi) for _, _, xi in priced)
@@ -451,7 +434,7 @@ def column_generation(
             if iteration >= MAX_ITERATIONS:
                 lagrangians.append(lagrangian)
                 return stop("lagrangian_stop", best)
-            added_now = sum(pool.add(column) for column in negative)
+            added_now = sum(pool.add(c.id, mask) for c, mask in negative)
             added_total += added_now
             if added_now == 0:
                 # duplicate columns priced negative: numerical stall, bail out

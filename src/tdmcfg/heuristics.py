@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .colgen import DualPrices, LpTimeoutError, NodeInfeasibleError, price_client
+from .colgen import LpTimeoutError, NodeInfeasibleError, price_client
 from .model import ProblemInstance, Schedule, slot_bound_sum, slot_lower_bound
 from .verify import schedule_feasible
 
@@ -81,14 +81,12 @@ def generative(
         position = iteration % n
         tie_break = np.array([rng.random() for _ in range(f)])
         prices = slot_prices(position, ALPHA, held, current, rng)
-        duals = DualPrices(lam=prices, sigma={})
         try:
-            column, _ = price_client(
-                clients[position], duals, f, deadline=deadline, tie_break=tie_break
+            mask, _ = price_client(
+                clients[position], prices, f, deadline=deadline, tie_break=tie_break
             )
         except (NodeInfeasibleError, LpTimeoutError):
             return None, NO_FEASIBLE
-        mask = np.array(column.mask, dtype=np.int64)
         unchanged = unchanged + 1 if np.array_equal(mask, current[position]) else 0
         current[position] = mask
         held += current

@@ -13,7 +13,7 @@ window needs, for pricing and the ILP alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -203,27 +203,6 @@ class Schedule:
                         raise ValueError(f"slot {j + 1} allocated twice")
                     slots[j] = client_id
         return Schedule(tuple(slots))
-
-
-@dataclass(frozen=True)
-class Column:
-    """A complete single-client slot allocation, the column-generation unit."""
-
-    client: int
-    mask: tuple[int, ...]
-    slot_count: int = field(default=-1)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mask", tuple(int(b) for b in self.mask))
-        count = sum(self.mask)
-        if self.slot_count == -1:
-            object.__setattr__(self, "slot_count", count)
-        elif self.slot_count != count:
-            raise ValueError("slot_count does not match mask popcount")
-
-    def slots(self) -> tuple[int, ...]:
-        """1-based slot indices held by the column."""
-        return tuple(j + 1 for j, b in enumerate(self.mask) if b)
 
 
 def mask_bounds(

@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
-from tdmcfg.colgen import Column
 from tdmcfg.ilp import FixingConflictError
 from tdmcfg.model import (
     ClientRequirement,
@@ -40,11 +39,11 @@ def golden_instance() -> ProblemInstance:
 
 
 @pytest.fixture
-def golden_seed_columns() -> tuple[Column, Column]:
-    """One feasible column per client to seed the restricted master."""
+def golden_seed_columns() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """One feasible (client id, mask) per client to seed the restricted master."""
     return (
-        Column(1, (0, 0, 1, 1, 0, 0, 0, 1, 1, 1)),
-        Column(2, (1, 1, 0, 0, 0, 1, 1, 0, 0, 0)),
+        (1, (0, 0, 1, 1, 0, 0, 0, 1, 1, 1)),
+        (2, (1, 1, 0, 0, 0, 1, 1, 0, 0, 0)),
     )
 
 
@@ -223,11 +222,13 @@ def strengthened_windows(client: ClientRequirement, frame_size: int) -> list[tup
 # for ``tdmcfg.model.mask_bounds``.
 
 
-def column_admissible(column: Column, decisions: Sequence[tuple]) -> bool:
-    """Whether a column is consistent with forced/forbidden slot decisions."""
+def column_admissible(
+    client: int, mask: Sequence[int], decisions: Sequence[tuple]
+) -> bool:
+    """Whether a client's mask is consistent with forced/forbidden slot decisions."""
     for client_id, slot, allocate in decisions:
-        covered = column.mask[slot - 1] == 1
-        if client_id == column.client:
+        covered = mask[slot - 1] == 1
+        if client_id == client:
             if covered != allocate:
                 return False
         elif allocate and covered:

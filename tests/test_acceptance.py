@@ -54,16 +54,17 @@ def test_golden_trace(golden_instance, golden_seed_columns):
     """Column generation on the worked example: trajectory, pricing, optimum."""
     t0 = time.monotonic()
     pool = ColumnPool()
-    for col in golden_seed_columns:
-        pool.add(col)
+    for client_id, mask in golden_seed_columns:
+        pool.add(client_id, mask)
     master = solve_master(pool, (), golden_instance)
-    duals = canonical_duals(master, golden_instance)
-    _, xi1 = price_client(golden_instance.client(1), duals, 10)
-    _, xi2 = price_client(golden_instance.client(2), duals, 10)
+    lam, sigma = canonical_duals(master, golden_instance)
+    _, cost1 = price_client(golden_instance.client(1), lam, 10)
+    _, cost2 = price_client(golden_instance.client(2), lam, 10)
+    xi1, xi2 = cost1 - sigma[0], cost2 - sigma[1]
     assert xi1 == pytest.approx(0.0, abs=1e-9)
     assert xi2 == pytest.approx(-0.1, abs=1e-9)
-    for client, xi in zip(golden_instance.clients, (xi1, xi2)):
-        best = brute_force_price(client, duals.lam, 10) - duals.sigma[client.id]
+    for p, (client, xi) in enumerate(zip(golden_instance.clients, (xi1, xi2))):
+        best = brute_force_price(client, lam, 10) - sigma[p]
         assert xi == pytest.approx(best, abs=1e-9)
 
     trace = []

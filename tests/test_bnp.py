@@ -24,7 +24,7 @@ from tdmcfg.bnp import (
     default_completion_thresholds,
     solve_bnp,
 )
-from tdmcfg.colgen import ColGenResult, Column, MasterSolution, zero_duals
+from tdmcfg.colgen import ColGenResult, MasterSolution
 from tdmcfg.mip import MipStatus
 from tdmcfg.model import ClientRequirement, ProblemInstance
 from tdmcfg.serialize import load_instance
@@ -62,13 +62,11 @@ def test_branch_max_probability_reads_the_master_weights():
     def branch(decisions, weighted):
         """(client, slot, allocate) of both children, for a master built by
         hand from (client id, mask, weight), client-major."""
-        columns = [Column(c, mask) for c, mask, _ in weighted]
         master = MasterSolution(
-            columns,
-            np.array([col.mask for col in columns], dtype=float),
+            np.array([mask for _, mask, _ in weighted], dtype=float),
             np.array([c - 1 for c, _, _ in weighted]),
             np.array([w for _, _, w in weighted]),
-            np.zeros(4), 0.0, zero_duals(inst),
+            np.zeros(4), 0.0, np.zeros(4), np.zeros(2),
         )
         children = branch_max_probability(BnpNode(decisions), master, inst)
         return [child.decisions[-1] for child in children]
@@ -312,6 +310,29 @@ def test_timed_out_node_stays_open_with_its_bound(
     assert bound == reported
     assert stats.nodes_opened == 2
     assert stats.completions == (1 if where == "column_generation" else 2)
+
+
+def test_completion_that_ends_feasible_keeps_its_node_open(golden_instance, monkeypatch):
+    # every completion runs out of time holding the optimum (8 of 10 slots)
+    # and every node bounds at 0.5: the node that completes goes back on
+    # the stack, so the answer is FEASIBLE at bound 0.5, not OPTIMAL
+    config = _tree_search_only(monkeypatch)
+    optimum, _ = brute_force_optimum(golden_instance)
+    monkeypatch.setattr(
+        bnp, "complete_with_ilp",
+        lambda node, instance, deadline=math.inf: (optimum, MipStatus.FEASIBLE),
+    )
+    monkeypatch.setattr(
+        bnp, "column_generation",
+        lambda *args, **kwargs: ColGenResult(None, 0.5, "lagrangian_stop", 1, 0),
+    )
+    # the root holds one Allocate decision, the second node one Forbid more
+    monkeypatch.setattr(bnp, "default_completion_thresholds", lambda n: (2.0, 0.1))
+    schedule, status, objective, bound, stats = solve_bnp(golden_instance, config)
+    assert (status, objective, bound) == (MipStatus.FEASIBLE, Fraction(4, 5), 0.5)
+    assert schedule == optimum
+    # the root's ILP slice and the second node's completion
+    assert (stats.nodes_opened, stats.completions) == (2, 2)
 
 
 def test_solve_bnp_prunes_infeasible_nodes_without_incumbent(monkeypatch):

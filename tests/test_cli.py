@@ -88,6 +88,37 @@ def test_solve_missing_file_exit_code(tmp_path):
     assert main(["solve", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("args, code", [
+    (["--method", "nope"], 1),
+    (["--time-limit", "abc"], 1),
+    (["--heuristic-runs", "-3"], 1),
+    (["--method", "bnp", "--heuristic-runs", "-3"], 1),
+    (["--heuristic-runs", "two"], 1),
+    (["--help"], 0),
+])
+def test_bad_arguments_exit_1(capsys, golden_path, args, code):
+    # exit code 2 means "infeasible", so argparse's own 2 must not show
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(golden_path), *args])
+    assert exc.value.code == code
+    out = capsys.readouterr()
+    assert ("error:" in out.err) == (code == 1)
+
+
+def test_zero_heuristic_runs_make_no_run(monkeypatch, capsys, golden_path):
+    runs = []
+    generative = heuristics.generative
+    monkeypatch.setattr(
+        heuristics, "generative", lambda *a, **k: runs.append(1) or generative(*a, **k)
+    )
+    code = main(["solve", str(golden_path), "--method", "heuristic", "--heuristic-runs", "0"])
+    assert (code, json.loads(capsys.readouterr().out)["status"]) == (2, "no_feasible")
+    assert runs == []
+    # with no count given, the heuristic makes one run
+    assert main(["solve", str(golden_path), "--method", "heuristic"]) == 0
+    assert runs == [1]
+
+
 def test_malformed_files_exit_code_without_traceback(
     tmp_path, capsys, caplog, golden_path
 ):

@@ -10,9 +10,7 @@ import pytest
 
 from tdmcfg import colgen
 from tdmcfg.colgen import (
-    Column,
     ColumnPool,
-    DualPrices,
     NodeInfeasibleError,
     build_master,
     canonical_duals,
@@ -21,7 +19,6 @@ from tdmcfg.colgen import (
     price_client,
     slots_of,
     solve_master,
-    zero_duals,
 )
 from tdmcfg.heuristics import allocated_slots, best_of_runs
 from tdmcfg.ilp import find_latency_violation
@@ -38,11 +35,11 @@ CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 def _integral_pair_slots(pool: ColumnPool) -> int:
     """Fewest total slots over conflict-free (c1, c2) column pairs."""
     best = None
-    for col1 in pool.admissible(1, ()):
-        for col2 in pool.admissible(2, ()):
-            if any(a and b for a, b in zip(col1.mask, col2.mask)):
+    for mask1 in pool.admissible(1, ()):
+        for mask2 in pool.admissible(2, ()):
+            if any(a and b for a, b in zip(mask1, mask2)):
                 continue
-            total = col1.slot_count + col2.slot_count
+            total = int(mask1.sum() + mask2.sum())
             if best is None or total < best:
                 best = total
     assert best is not None
@@ -50,17 +47,33 @@ def _integral_pair_slots(pool: ColumnPool) -> int:
 
 
 def seeded_pool(columns) -> ColumnPool:
+    """A pool of (client id, mask) columns."""
     pool = ColumnPool()
-    for col in columns:
-        pool.add(col)
+    for client_id, mask in columns:
+        pool.add(client_id, mask)
     return pool
 
 
 def test_column_pool_deduplicates(golden_seed_columns):
     a11, a21 = golden_seed_columns
     pool = seeded_pool([a11, a21])
-    assert not pool.add(Column(1, a11.mask))
+    assert not pool.add(*a11)
     assert len(pool.admissible(1, ())) == 1
+
+
+def test_column_pool_deduplicates_every_form_of_a_mask_in_pool_order():
+    first, second = (1, 0, 1, 0), (0, 1, 0, 1)
+    pool = ColumnPool()
+    assert pool.add(1, first) and pool.add(1, np.array(second, dtype=float))
+    for form in (tuple, list, np.array, lambda m: np.array(m, dtype=float)):
+        assert not pool.add(1, form(first)) and not pool.add(1, form(second))
+    # the same mask is another column for another client
+    assert pool.add(2, list(second))
+    admissible = pool.admissible(1, ())
+    assert admissible.dtype == float
+    assert admissible.tolist() == [list(first), list(second)]
+    assert pool.admissible(2, ()).tolist() == [list(second)]
+    assert len(pool.admissible(3, ())) == 0
 
 
 def test_column_admissible_respects_decisions(golden_seed_columns):
@@ -68,7 +81,7 @@ def test_column_admissible_respects_decisions(golden_seed_columns):
     pool = seeded_pool([a11])
 
     def admissible(decisions):
-        return pool.admissible(1, decisions) == [a11]
+        return np.array_equal(pool.admissible(1, decisions), [a11[1]])
 
     assert admissible(())
     assert admissible(((1, 3, True),))
@@ -80,9 +93,9 @@ def test_column_admissible_respects_decisions(golden_seed_columns):
 
 def test_master_values_track_pool_growth(golden_instance, golden_seed_columns):
     a11, a21 = golden_seed_columns
-    a22 = Column(2, (1, 0, 0, 0, 1, 0, 0, 1, 0, 0))
-    a12 = Column(1, (0, 1, 1, 0, 1, 1, 0, 0, 1, 0))
-    a23 = Column(2, (1, 0, 0, 1, 0, 0, 1, 0, 0, 0))
+    a22 = (2, (1, 0, 0, 0, 1, 0, 0, 1, 0, 0))
+    a12 = (1, (0, 1, 1, 0, 1, 1, 0, 0, 1, 0))
+    a23 = (2, (1, 0, 0, 1, 0, 0, 1, 0, 0, 0))
     expected = [
         ([a11, a21], Fraction(9, 10)),
         ([a11, a21, a22], Fraction(9, 10)),
@@ -99,19 +112,19 @@ def test_canonical_duals_satisfy_dual_conditions(
 ):
     pool = seeded_pool(golden_seed_columns)
     master = solve_master(pool, (), golden_instance)
-    duals = canonical_duals(master, golden_instance)
+    lam, sigma = canonical_duals(master, golden_instance)
     f = golden_instance.frame_size
     # dual feasibility: every pooled column has nonnegative reduced cost
-    for client in golden_instance.clients:
-        for col in pool.admissible(client.id, ()):
+    for p, client in enumerate(golden_instance.clients):
+        for mask in pool.admissible(client.id, ()):
             xi = (
-                sum(duals.lam[j - 1] for j in col.slots())
-                + col.slot_count / f
-                - duals.sigma.get(client.id, 0.0)
+                sum(lam[j] for j in np.flatnonzero(mask))
+                + mask.sum() / f
+                - sigma[p]
             )
             assert xi >= -1e-6
     # strong duality against the master optimum
-    dual_value = -duals.lam.sum() + sum(duals.sigma.values())
+    dual_value = -lam.sum() + sigma.sum()
     assert dual_value == pytest.approx(master.objective, abs=1e-6)
 
 
@@ -120,36 +133,36 @@ def test_canonical_duals_fall_back_to_the_simplex_duals(
 ):
     master = solve_master(seeded_pool(golden_seed_columns), (), golden_instance)
     # the master's simplex duals are optimal too: strong duality holds
-    dual_value = -master.duals.lam.sum() + sum(master.duals.sigma.values())
+    dual_value = -master.lam.sum() + master.sigma.sum()
     assert dual_value == pytest.approx(master.objective, abs=1e-6)
     monkeypatch.setattr(colgen, "solve_lp", lambda model, deadline: LpSolution(LpStatus.TIMED_OUT))
-    assert canonical_duals(master, golden_instance) is master.duals
+    lam, sigma = canonical_duals(master, golden_instance)
+    assert lam is master.lam and sigma is master.sigma
 
 
 def test_iteration_one_reduced_costs(golden_instance, golden_seed_columns):
     pool = seeded_pool(golden_seed_columns)
     master = solve_master(pool, (), golden_instance)
-    duals = canonical_duals(master, golden_instance)
-    _, xi1 = price_client(golden_instance.client(1), duals, 10)
-    _, xi2 = price_client(golden_instance.client(2), duals, 10)
+    lam, sigma = canonical_duals(master, golden_instance)
+    _, cost1 = price_client(golden_instance.client(1), lam, 10)
+    _, cost2 = price_client(golden_instance.client(2), lam, 10)
+    xi1, xi2 = cost1 - sigma[0], cost2 - sigma[1]
     assert xi1 == pytest.approx(0.0, abs=1e-6)
     assert xi2 == pytest.approx(-0.1, abs=1e-6)
 
 
 def test_priced_columns_meet_requirements(golden_instance):
-    duals = zero_duals(golden_instance)
     for client in golden_instance.clients:
-        column, _ = price_client(client, duals, 10)
-        assert column.slot_count >= 1
-        assert find_latency_violation(list(column.mask), client, 10) is None
+        mask, _ = price_client(client, np.zeros(10), 10)
+        assert mask.sum() >= 1
+        assert find_latency_violation(mask.tolist(), client, 10) is None
 
 
 def test_pricing_respects_node_decisions(golden_instance):
     client = golden_instance.client(2)
-    duals = zero_duals(golden_instance)
     decisions = ((2, 1, False), (2, 2, False))
-    column, _ = price_client(client, duals, 10, decisions)
-    assert column.mask[0] == 0 and column.mask[1] == 0
+    mask, _ = price_client(client, np.zeros(10), 10, decisions)
+    assert mask[0] == 0 and mask[1] == 0
 
 
 def test_pricing_raises_on_impossible_fixings():
@@ -158,7 +171,7 @@ def test_pricing_raises_on_impossible_fixings():
     # forbidding two slots leaves only 8 < 9 required
     decisions = ((1, 1, False), (1, 2, False))
     with pytest.raises(NodeInfeasibleError):
-        price_client(req, zero_duals(inst), 10, decisions)
+        price_client(req, np.zeros(10), 10, decisions)
 
 
 def test_price_client_matches_brute_force():
@@ -186,34 +199,42 @@ def test_price_client_matches_brute_force():
             elif u < 0.25:
                 decisions.append((2, slot, True))  # held by another client
         tie_break = np.array([rng.random() for _ in range(f)]) if case % 3 == 0 else None
-        duals = DualPrices(lam, {1: 0.25})
         best = brute_force_price(client, lam, f, decisions)
         if best is None:
             infeasible += 1
             with pytest.raises(NodeInfeasibleError):
-                price_client(client, duals, f, decisions, tie_break=tie_break)
+                price_client(client, lam, f, decisions, tie_break=tie_break)
             continue
-        column, xi = price_client(client, duals, f, decisions, tie_break=tie_break)
-        assert xi == pytest.approx(best - 0.25, abs=1e-6), (case, client, decisions)
-        assert column.slot_count >= rate * f
+        mask, cost = price_client(client, lam, f, decisions, tie_break=tie_break)
+        assert cost == pytest.approx(best, abs=1e-6), (case, client, decisions)
+        # an integer 0/1 mask, and its cost bitwise, free of the tie-break
+        assert mask.dtype.kind == "i" and set(mask.tolist()) <= {0, 1}
+        assert cost == sum(lam[mask == 1].tolist()) + mask.sum() / f
+        assert mask.sum() >= rate * f
         if rate > 0:
-            assert latency_witness(column.mask, client.effective_latency(f)) is None
-        assert column_admissible(column, decisions)
+            assert latency_witness(mask, client.effective_latency(f)) is None
+        assert column_admissible(1, mask, decisions)
     assert 20 <= infeasible <= 200
 
 
 def test_column_generation_reaches_integral_optimum(
     golden_instance, golden_seed_columns, monkeypatch
 ):
-    priced = []
+    priced = []  # per call: (client id, cost, least cost of any feasible mask)
+    sigmas = []  # per iteration: the client prices pricing ran under
 
-    def recording_price_client(client, duals, frame_size, decisions=(), **kwargs):
-        column, xi = price_client(client, duals, frame_size, decisions, **kwargs)
-        best = brute_force_price(client, duals.lam, frame_size)
-        priced.append((xi, best - duals.sigma.get(client.id, 0.0)))
-        return column, xi
+    def recording_price_client(client, lam, frame_size, decisions=(), **kwargs):
+        mask, cost = price_client(client, lam, frame_size, decisions, **kwargs)
+        priced.append((client.id, cost, brute_force_price(client, lam, frame_size)))
+        return mask, cost
+
+    def recording_duals(*args, **kwargs):
+        lam, sigma = canonical_duals(*args, **kwargs)
+        sigmas.append(sigma)
+        return lam, sigma
 
     monkeypatch.setattr(colgen, "price_client", recording_price_client)
+    monkeypatch.setattr(colgen, "canonical_duals", recording_duals)
     pool = seeded_pool(golden_seed_columns)
     trace = []
     res = column_generation(pool, (), golden_instance, trace)
@@ -221,10 +242,13 @@ def test_column_generation_reaches_integral_optimum(
     assert res.lower_bound == pytest.approx(0.8, abs=1e-9)
     # the pool holds a conflict-free integral pair achieving the optimum
     assert _integral_pair_slots(pool) == 8
-    # every priced column has the least reduced cost of any feasible mask
-    assert len(priced) == 2 * len(trace)
-    for xi, best in priced:
-        assert xi == pytest.approx(best, abs=1e-9)
+    # every priced column has the least reduced cost of any feasible mask,
+    # and the loop's reduced cost is its cost less its client's price
+    assert len(priced) == 2 * len(trace) == 2 * len(sigmas)
+    for k, (client_id, cost, best) in enumerate(priced):
+        assert cost == pytest.approx(best, abs=1e-9)
+        (_, _, xi), sigma = trace[k // 2], sigmas[k // 2]
+        assert xi[client_id] == cost - sigma[client_id - 1]
     # master values descend from the seed value to the optimum (9/10, 9/10,
     # 4/5 today; which of several equally priced columns enters decides
     # whether 17/20 shows in between)
@@ -255,7 +279,7 @@ def test_root_stops_at_a_bound_that_prunes_the_heuristic_incumbent():
     best, found = best_of_runs(instance, 1, 0)
     assert allocated_slots(best) == 10
     pool = seeded_pool(
-        Column(c.id, schedule.mask(c.id)) for schedule in found for c in instance.clients
+        (c.id, schedule.mask(c.id)) for schedule in found for c in instance.clients
     )
     tight = min(instance.clients, key=lambda c: (c.effective_latency(f), c.id))
     res = column_generation(pool, ((tight.id, 1, True),), instance, incumbent_slots=10)
@@ -276,7 +300,7 @@ def test_incumbent_stop_returns_a_bound_that_prunes():
         ))
         f = instance.frame_size
         _, found = best_of_runs(instance, 1, 0)
-        columns = [Column(c.id, s.mask(c.id)) for s in found for c in instance.clients]
+        columns = [(c.id, s.mask(c.id)) for s in found for c in instance.clients]
         full = column_generation(seeded_pool(columns), (), instance)
         for slots in range(slot_bound_sum(instance), slots_of(full.lower_bound, f) + 2):
             res = column_generation(seeded_pool(columns), (), instance, incumbent_slots=slots)
@@ -307,8 +331,8 @@ def test_ensure_seed_columns_infeasible_node(golden_instance):
 
 def test_master_infeasible_when_no_admissible_column(golden_instance):
     pool = ColumnPool()
-    pool.add(Column(1, (1, 1, 1, 1, 1, 0, 0, 0, 0, 0)))
-    pool.add(Column(2, (0, 0, 0, 0, 0, 1, 1, 1, 0, 0)))
+    pool.add(1, (1, 1, 1, 1, 1, 0, 0, 0, 0, 0))
+    pool.add(2, (0, 0, 0, 0, 0, 1, 1, 1, 0, 0))
     decisions = ((1, 1, False),)  # the only c1 column uses slot 1
     with pytest.raises(NodeInfeasibleError):
         solve_master(pool, decisions, golden_instance)
@@ -316,15 +340,17 @@ def test_master_infeasible_when_no_admissible_column(golden_instance):
 
 def test_master_holds_only_admissible_columns(golden_instance, golden_seed_columns):
     a11, a21 = golden_seed_columns
-    a12 = Column(1, (0, 1, 1, 0, 1, 1, 0, 0, 1, 0))
+    a12 = (1, (0, 1, 1, 0, 1, 1, 0, 0, 1, 0))
     pool = seeded_pool([a11, a21, a12])
     decisions = ((1, 2, False),)  # a12 holds slot 2
     master = solve_master(pool, decisions, golden_instance)
     model = build_master(master.masks, master.owner, golden_instance)
-    admissible = [
-        col for c in golden_instance.clients for col in pool.admissible(c.id, decisions)
-    ]
-    assert master.columns == admissible == [a11, a21]
+    admissible = np.vstack([
+        pool.admissible(c.id, decisions) for c in golden_instance.clients
+    ])
+    assert np.array_equal(master.masks, admissible)
+    assert np.array_equal(admissible, [a11[1], a21[1]])
+    assert master.owner.tolist() == [0, 1]
     assert len(model.c) == len(admissible) + golden_instance.frame_size
 
 
@@ -383,10 +409,7 @@ def test_shared_sub_models_price_like_fresh_ones(monkeypatch):
             for _ in range(2)
         ]
         for _ in range(3):
-            duals = DualPrices(
-                np.array([rng.choice([0.0, rng.random()]) for _ in range(f)]),
-                {c.id: rng.random() for c in instance.clients},
-            )
+            lam = np.array([rng.choice([0.0, rng.random()]) for _ in range(f)])
             tie_break = np.array([rng.random() for _ in range(f)])
             for client in instance.clients:
                 for decisions in decision_sets:
@@ -395,7 +418,7 @@ def test_shared_sub_models_price_like_fresh_ones(monkeypatch):
                         shared_run[0] = pricing is price_client
                         try:
                             answers.append(pricing(
-                                client, duals, f, decisions, tie_break=tie_break,
+                                client, lam, f, decisions, tie_break=tie_break,
                             ))
                         except NodeInfeasibleError:
                             answers.append(None)
@@ -403,7 +426,7 @@ def test_shared_sub_models_price_like_fresh_ones(monkeypatch):
                     assert (shared is None) == (fresh is None)
                     if shared is not None:
                         priced += 1
-                        assert shared[0].mask == fresh[0].mask
+                        assert np.array_equal(shared[0], fresh[0])
                         assert shared[1] == fresh[1]  # bitwise
     memo = _memo_keys(clients)
     assert priced > 100 and len(built) == len(set(built)) == len(memo) > 10
@@ -431,10 +454,10 @@ def test_equal_clients_of_other_frame_sizes_share_no_sub_model(monkeypatch):
     rng = np.random.default_rng(3)
     for f in (8, 12, 8, 12):
         for decisions in ((), ((1, 2, True),), ((1, 1, False), (2, 5, True))):
-            duals = DualPrices(rng.uniform(0.0, 1.0, f), {1: 0.5})
-            shared = price_client(client, duals, f, decisions)
-            fresh = _price_fresh(client, duals, f, decisions)
-            assert shared[0].mask == fresh[0].mask and shared[1] == fresh[1]
+            lam = rng.uniform(0.0, 1.0, f)
+            shared = price_client(client, lam, f, decisions)
+            fresh = _price_fresh(client, lam, f, decisions)
+            assert np.array_equal(shared[0], fresh[0]) and shared[1] == fresh[1]
     assert lps  # the cheapest slots alone break the latency bound
     assert {f for _, f, _ in _memo_keys([client])} == {8, 12}
     for (f, _), m in colgen._SUB_MODELS[client].items():

@@ -248,8 +248,8 @@ def test_reused_handle_matches_fresh_handles(monkeypatch, golden_instance, golde
     pricing = build_sub_model(client, f, 4)
     pricing.c = colgen._prefix_costs(cost)
     pool = ColumnPool()
-    for column in golden_seed_columns:
-        pool.add(column)
+    for client_id, mask in golden_seed_columns:
+        pool.add(client_id, mask)
     master = solve_master(pool, (), golden_instance)
     captured = []
     monkeypatch.setattr(colgen, "solve_lp", lambda m, deadline: captured.append(m) or solve_lp(m))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tdmcfg.colgen import Column, ColumnPool
+from tdmcfg.colgen import ColumnPool
 from tdmcfg.ilp import FixingConflictError, build_ilp
 
 from tdmcfg.model import (
@@ -198,14 +198,15 @@ def test_mask_bounds_matches_decision_loops():
             build_ilp(inst, decisions)
         pool = ColumnPool()
         for c, (lo, up) in bounds.items():
-            added = []  # the client's columns in pool order
+            added = []  # the client's masks in pool order
             for _ in range(6):
                 # half of the masks drawn inside the bounds, half anywhere
                 bits = np.array([rng.randint(0, 1) for _ in range(f)])
                 mask = np.where(lo < up, bits, lo) if rng.random() < 0.5 else bits
-                column = Column(c, mask.tolist())
-                if pool.add(column):
-                    added.append(column)
-            expected = [col for col in added if column_admissible(col, decisions)]
-            assert pool.admissible(c, decisions) == expected
+                if pool.add(c, mask):
+                    added.append(mask)
+            expected = [m for m in added if column_admissible(c, m, decisions)]
+            assert np.array_equal(
+                pool.admissible(c, decisions), np.reshape(expected, (-1, f))
+            )
     assert 30 <= conflicts <= 270
