@@ -64,6 +64,10 @@ class BnpConfig:
     heuristic_runs: Optional[int] = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.heuristic_runs is not None and self.heuristic_runs < 0:
+            raise ValueError(f"heuristic_runs must be at least 0, not {self.heuristic_runs}")
+
 
 @dataclass
 class BnpStats:

@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate synthetic instances")
     gen.add_argument("klass", choices=["BD", "LD", "MD"], help="use-case class")
     gen.add_argument("--n", type=int, default=8, help="number of clients")
-    gen.add_argument("--count", type=int, default=1)
+    gen.add_argument("--count", type=count, default=1)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=None, help="output directory")
     gen.set_defaults(func=cmd_generate)

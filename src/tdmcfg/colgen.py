@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
-from .mip import LinearModel, LpStatus, solve_lp, stack_rows
+from .mip import LinearModel, LpStatus, RowMatrix, solve_lp, stack_rows
 from .model import (
     ClientRequirement, ProblemInstance, mask_bounds, slot_bound_sum, slot_lower_bound,
     window_lengths,
@@ -235,9 +234,10 @@ def build_sub_model(client: ClientRequirement, frame_size: int, t: int) -> Linea
     a, b, w = np.concatenate(a), np.concatenate(b), np.concatenate(w)
     m = len(w)
     # row i holds +1 at column a[i] and -1 at column b[i]
-    indices = np.column_stack([a, b]).ravel()
-    A = sparse.csr_matrix(
-        (np.tile([1.0, -1.0], m), indices, np.arange(0, 2 * m + 1, 2)), shape=(m, f + 1)
+    A = RowMatrix(
+        np.arange(0, 2 * m + 1, 2, dtype=np.int32),
+        np.column_stack([a, b]).ravel().astype(np.int32),
+        np.tile([1.0, -1.0], m), (m, f + 1),
     )
     lo, hi = np.zeros(f + 1), np.full(f + 1, float(t))
     lo[f], hi[0] = t, 0.0

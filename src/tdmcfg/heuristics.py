@@ -119,6 +119,8 @@ def best_of_runs(
     a lower bound on every schedule (the slot-bound sum by default).
     ``time_limit`` (seconds) covers all runs; a run begun after it ends at once.
     """
+    if runs < 0:
+        raise ValueError(f"runs must be at least 0, not {runs}")
     floor = slot_bound_sum(instance) if floor is None else floor
     deadline = time.monotonic() + (math.inf if time_limit is None else time_limit)
     best: Optional[Schedule] = None

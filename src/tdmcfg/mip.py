@@ -4,9 +4,10 @@ A model is plain arrays addressed by position, in HiGHS's own form:
 objective, bounds and integrality per variable, and one sparse row-wise
 matrix with a lower and an upper bound per row.  Builders write ``<=``
 rows (lower bound -inf; ``>=`` rows negated), and an equality row has
-equal bounds.  LPs run on HiGHS through the binding bundled with scipy; the
-integer search is a hand-rolled depth-first branch-and-bound with a
-lazy-row hook, most-fractional branching and deterministic tie-breaking.
+equal bounds.  LPs run on HiGHS through the binding bundled with scipy,
+loaded from its file without the rest of scipy; the integer search is a
+hand-rolled depth-first branch-and-bound with a lazy-row hook,
+most-fractional branching and deterministic tie-breaking.
 It keeps one HiGHS handle per search and re-solves each node warm from the
 handle's last basis; every one-shot LP is passed to one long-lived handle,
 which the new model resets.
@@ -19,20 +20,58 @@ c[v] - sum_r duals[r] * A[r, v].
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-# scipy's private HiGHS binding, imported from its package: a first import
-# of scipy.optimize by the three-level name made scipy's own import-time
-# docstring work 3-5 times slower (0.1-0.2 s more per process, measured)
-from scipy.optimize._highspy import _core as highspy
 
+HIGHS_BINDING = "scipy.optimize._highspy._core"
+
+
+def _load_highs_binding():
+    """scipy's private HiGHS extension module, loaded from its file.
+
+    Importing it through its package would run ``scipy.optimize``'s
+    ``__init__``, which loads some 300 scipy modules (linalg, fft, ...) and
+    took longer than most solves.  The module goes into ``sys.modules``
+    under its full name before it runs, so a later ``import scipy.optimize``
+    finds it there and both work on one module object.
+    """
+    if HIGHS_BINDING in sys.modules:
+        return sys.modules[HIGHS_BINDING]
+    scipy = importlib.util.find_spec("scipy")  # finds the package, runs nothing
+    if scipy is None:
+        raise ImportError("tdmcfg needs scipy, which is not installed")
+    folder = Path(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    paths = [folder / f"_core{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"scipy's HiGHS binding not found: no file {paths[0]}")
+    spec = importlib.util.spec_from_file_location(HIGHS_BINDING, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[HIGHS_BINDING] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+highspy = _load_highs_binding()
 HighsModelStatus, _Highs = highspy.HighsModelStatus, highspy._Highs
+
+# One 4 MB block, allocated and freed.  glibc's malloc raises its mmap
+# threshold to the size of a freed mmapped block (mallopt(3)), so later
+# blocks of 128 KB and more, such as the f x f int64 temporaries of
+# model.late_windows and HiGHS's own buffers, come from the heap instead of
+# a fresh mmap that page-faults on every call.  Importing scipy.optimize did
+# this as a side effect; without it one round of the perfbench warmstart
+# corpus took about 9 000 minor page faults instead of tens.
+np.empty(1 << 19)
 
 FEASIBILITY_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
@@ -56,6 +95,20 @@ class MipStatus(Enum):
     TIMED_OUT = "timed_out"
 
 
+class RowMatrix(NamedTuple):
+    """A sparse matrix stored row-wise, as HiGHS reads it: row r holds
+    ``data[indptr[r]:indptr[r + 1]]`` at columns ``indices[...]`` alike."""
+
+    indptr: np.ndarray  # int32, one more than the rows
+    indices: np.ndarray  # int32
+    data: np.ndarray  # float64
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+
 @dataclass
 class LinearModel:
     """min c @ x  s.t.  row_lower <= A @ x <= row_upper,  lower <= x <= upper.
@@ -68,7 +121,7 @@ class LinearModel:
     lower: np.ndarray
     upper: np.ndarray
     integer: np.ndarray
-    A: sparse.csr_matrix
+    A: RowMatrix
     row_lower: np.ndarray
     row_upper: np.ndarray
 
@@ -79,7 +132,7 @@ Row = tuple[np.ndarray, np.ndarray, float]
 
 def stack_rows(
     blocks: Sequence[tuple[int, np.ndarray, Sequence[float]]], ncols: int
-) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+) -> tuple[RowMatrix, np.ndarray, np.ndarray]:
     """Stack dense ``<=`` row blocks into (A, row_lower, row_upper).
 
     Block (col0, coefs, rhs) puts the rows ``coefs`` at columns col0 on;
@@ -95,9 +148,12 @@ def stack_rows(
         vals.append(coefs[r, s])
         rhs.append(np.asarray(b, dtype=float))
         nrows += coefs.shape[0]
-    A = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nrows, ncols),
+    # np.nonzero lists entries row by row, so the blocks in turn are row-major
+    indptr = np.zeros(nrows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(np.concatenate(rows), minlength=nrows), out=indptr[1:])
+    A = RowMatrix(
+        indptr, np.concatenate(cols).astype(np.int32),
+        np.concatenate(vals).astype(float), (nrows, ncols),
     )
     return A, np.full(nrows, -np.inf), np.concatenate(rhs)
 
@@ -151,8 +207,8 @@ def _load(model: LinearModel, highs: Optional[_Highs] = None) -> _Highs:
     A = model.A
     # HiGHS reads these arrays through bare pointers, so their sizes must agree
     if {len(model.lower), len(model.upper), A.shape[1]} != {n} or {
-        len(model.row_lower), len(model.row_upper)
-    } != {A.shape[0]}:
+        len(model.row_lower), len(model.row_upper), len(A.indptr) - 1
+    } != {A.shape[0]} or {len(A.indices), int(A.indptr[-1])} != {A.nnz}:
         raise ModelError("model arrays disagree in size")
     highs = _new_handle() if highs is None else highs
     highs.passModel(

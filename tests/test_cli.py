@@ -95,11 +95,14 @@ def test_solve_missing_file_exit_code(tmp_path):
     (["--method", "bnp", "--heuristic-runs", "-3"], 1),
     (["--heuristic-runs", "two"], 1),
     (["--help"], 0),
+    (["generate", "BD", "--count", "-1"], 1),
 ])
 def test_bad_arguments_exit_1(capsys, golden_path, args, code):
-    # exit code 2 means "infeasible", so argparse's own 2 must not show
+    # exit code 2 means "infeasible", so argparse's own 2 must not show;
+    # arguments are to solve the golden instance unless they name generate
+    argv = args if args[0] == "generate" else ["solve", str(golden_path), *args]
     with pytest.raises(SystemExit) as exc:
-        main(["solve", str(golden_path), *args])
+        main(argv)
     assert exc.value.code == code
     out = capsys.readouterr()
     assert ("error:" in out.err) == (code == 1)

@@ -173,3 +173,20 @@ def test_continuous_allocation_fails_on_tight_latency(golden_instance):
     # contiguous blocks cannot meet latency 3 with 5 slots in f=10
     schedule, status = continuous_allocation(golden_instance)
     assert status == NO_FEASIBLE
+
+
+def test_negative_run_counts_are_refused(golden_instance, monkeypatch):
+    runs = []
+    run = heuristics.generative
+    monkeypatch.setattr(
+        heuristics, "generative", lambda *a, **k: runs.append(1) or run(*a, **k)
+    )
+    with pytest.raises(ValueError, match="at least 0"):
+        best_of_runs(golden_instance, -3)
+    with pytest.raises(ValueError, match="at least 0"):
+        BnpConfig(heuristic_runs=-3)
+    # a count of 0 is still no run, in both
+    assert best_of_runs(golden_instance, 0) == (None, [])
+    _, status, _, _, stats = solve_bnp(golden_instance, BnpConfig(heuristic_runs=0))
+    assert status == MipStatus.OPTIMAL and not stats.heuristic_feasible
+    assert runs == []

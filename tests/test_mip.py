@@ -1,7 +1,11 @@
 """LP/MIP kernel: duals, branch-and-bound, lazy rows, time limits."""
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from scipy.optimize._highspy._core import HighsModelStatus
 
 from tdmcfg import mip
 from tdmcfg.mip import LinearModel, LpStatus, MipStatus, solve_lp, solve_mip, stack_rows
+
+SRC = Path(mip.__file__).resolve().parents[1]
 
 
 def model(c, upper, rows=(), integer=True):
@@ -18,6 +24,14 @@ def model(c, upper, rows=(), integer=True):
         c, np.zeros(len(c)), np.array(upper, dtype=float), np.full(len(c), integer),
         *stack_rows([(0, np.array([coefs]), [rhs]) for coefs, rhs in rows], len(c)),
     )
+
+
+def dense(A):
+    """The row-wise matrix A as a dense array."""
+    out = np.zeros(A.shape)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    out[rows, A.indices] = A.data
+    return out
 
 
 def knapsack_model():
@@ -46,7 +60,7 @@ def test_stack_rows_drops_zeros_and_places_blocks():
     )
     assert A.shape == (3, 4)
     assert A.nnz == 2
-    assert A.toarray().tolist() == [[1, 0, 0, 0], [0, 0, 0, -3], [0, 0, 0, 0]]
+    assert dense(A).tolist() == [[1, 0, 0, 0], [0, 0, 0, -3], [0, 0, 0, 0]]
     assert lo.tolist() == [-math.inf] * 3
     assert hi.tolist() == [2.0, 1.0, 0.0]
     # no rows is still a matrix
@@ -173,6 +187,50 @@ def test_highs_binding_has_every_method_mip_calls():
         assert callable(getattr(_Highs, name, None)), name
 
 
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports tdmcfg from SRC."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_scipy_optimize_or_sparse():
+    # importing scipy.optimize alone took longer than most solves
+    run_fresh(
+        "import sys\n"
+        "import tdmcfg.bnp, tdmcfg.cli, tdmcfg.serialize\n"
+        "loaded = {'scipy.optimize', 'scipy.sparse'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        f"assert tdmcfg.mip.highspy is sys.modules[{mip.HIGHS_BINDING!r}]\n"
+    )
+
+
+@pytest.mark.parametrize("first, second", [
+    ("from tdmcfg import mip", "from scipy.optimize import linprog"),
+    ("from scipy.optimize import linprog", "from tdmcfg import mip"),
+], ids=["tdmcfg_first", "scipy_first"])
+def test_both_import_orders_share_one_binding(first, second):
+    # whichever loads the binding first, scipy and tdmcfg must both solve
+    # on one module object, the one registered under its full name
+    run_fresh(
+        f"{first}\n{second}\n"
+        "import sys\n"
+        "import numpy as np\n"
+        "from scipy.optimize._highspy import _core\n"
+        "# min x + 2y  s.t.  x + y >= 4,  0 <= x, y <= 10\n"
+        "ref = linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-4], bounds=(0, 10))\n"
+        "assert ref.status == 0 and abs(ref.fun - 4) < 1e-9, ref\n"
+        "lp = mip.solve_lp(mip.LinearModel(\n"
+        "    np.array([1.0, 2.0]), np.zeros(2), np.full(2, 10.0), np.zeros(2, bool),\n"
+        "    *mip.stack_rows([(0, np.array([[-1.0, -1.0]]), [-4.0])], 2)))\n"
+        "assert lp.status == mip.LpStatus.OPTIMAL and abs(lp.objective - 4) < 1e-9, lp\n"
+        f"assert mip.highspy is _core is sys.modules[{mip.HIGHS_BINDING!r}]\n"
+    )
+
+
 def test_each_run_on_a_shared_handle_gets_its_own_budget():
     # HiGHS counts time_limit against the handle's total run time: a
     # budget shorter than the runs before it must still allow a warm re-run
@@ -228,7 +286,11 @@ def test_model_arrays_of_other_sizes_are_refused():
     short_rhs.row_upper = np.zeros(0)
     short_row_lower = knapsack_model()
     short_row_lower.row_lower = np.zeros(0)
-    for m in (short_bounds, short_rhs, short_row_lower):
+    short_indices = knapsack_model()
+    short_indices.A = short_indices.A._replace(indices=short_indices.A.indices[:2])
+    short_indptr = knapsack_model()
+    short_indptr.A = short_indptr.A._replace(indptr=short_indptr.A.indptr[:1])
+    for m in (short_bounds, short_rhs, short_row_lower, short_indices, short_indptr):
         with pytest.raises(mip.ModelError, match="disagree in size"):
             solve_lp(m)
 
