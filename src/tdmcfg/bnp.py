@@ -67,6 +67,8 @@ class BnpConfig:
     def __post_init__(self):
         if self.heuristic_runs is not None and self.heuristic_runs < 0:
             raise ValueError(f"heuristic_runs must be at least 0, not {self.heuristic_runs}")
+        if self.time_limit is not None and not self.time_limit >= 0:  # NaN fails too
+            raise ValueError(f"time_limit must be at least 0 seconds, not {self.time_limit}")
 
 
 @dataclass
@@ -183,14 +185,14 @@ def solve_bnp(
 ) -> tuple[Optional[Schedule], MipStatus, Optional[Fraction], float, BnpStats]:
     """Branch-and-price search for the minimal-allocation schedule.
 
-    The generative heuristic's first run gives the incumbent; one that
-    meets the slot-bound sum ends the solve.  Otherwise the root node is
-    solved next, and the warm start's other runs are made only if the root
-    branches, that is, if its bound leaves a gap; they stop at that bound.
-    All runs share one budget, a third of the time limit.  When no run
-    finds a schedule, the monolithic ILP gets one time slice at the root:
-    before the root node when the warm start has at most one run, after
-    the other runs otherwise.  Then depth-first search.
+    The warm start's runs of the generative heuristic share one budget, a
+    third of the time limit; a schedule that meets the slot-bound sum ends
+    the solve.  A warm start of at most one run (the default when every
+    client is bandwidth-dominated) is that run, then, if it found nothing,
+    the monolithic ILP for a third of the time left, then depth-first
+    search.  A longer one (eight runs by default) is the first run, then
+    the root node, then the other runs only if the root branches, stopped
+    at its bound, then depth-first search.
     """
     config = config or BnpConfig()
     stats = BnpStats()
@@ -250,24 +252,22 @@ def solve_bnp(
             stats.heuristic_feasible = True
         improve(best)
 
-    def ilp_slice() -> bool:
-        """A third of the time left for the monolithic ILP at the root, so the
-        search has an incumbent to prune against; True if it settles the solve."""
-        now = time.monotonic()
-        schedule, status = complete_with_ilp(BnpNode(()), instance, now + (deadline - now) / 3)
-        stats.completions += 1
-        improve(schedule)
-        if schedule is not None:
-            add_columns(schedule)
-        return status in (MipStatus.OPTIMAL, MipStatus.INFEASIBLE)
-
     runs = _heuristic_runs(instance, config)
     warm_start(min(runs, 1), config.seed, total_lb)
     if best_slots <= total_lb:
         # the incumbent meets the sum of per-client slot lower bounds
         return result()
-    if incumbent is None and runs <= 1 and ilp_slice():
-        return result()
+    if incumbent is None and runs <= 1:
+        # a third of the time left for the monolithic ILP at the root, so the
+        # search has an incumbent to prune against
+        now = time.monotonic()
+        schedule, status = complete_with_ilp(BnpNode(()), instance, now + (deadline - now) / 3)
+        stats.completions += 1
+        improve(schedule)
+        if status in (MipStatus.OPTIMAL, MipStatus.INFEASIBLE):
+            return result()
+        if schedule is not None:
+            add_columns(schedule)
 
     # root: slot 1 goes to the client with the tightest latency requirement
     root_decisions: tuple = ()
@@ -285,7 +285,7 @@ def solve_bnp(
             # leaves a gap: the warm start's other runs may close it
             floor = slots_of(stack[-1].local_bound, f)
             warm_start(runs - 1, config.seed + 1, floor)
-            if best_slots <= floor or (incumbent is None and ilp_slice()):
+            if best_slots <= floor:
                 return result()
         node = stack.pop()
         stats.nodes_opened += 1

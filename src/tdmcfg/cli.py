@@ -318,6 +318,15 @@ def count(text: str) -> int:
     return value
 
 
+def seconds(text: str) -> float:
+    """A time limit of at least 0 seconds (inf allowed), read from a
+    command-line argument."""
+    value = float(text)
+    if not value >= 0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tdmcfg",
@@ -333,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["ilp", "bnp", "heuristic", "continuous"],
         default="bnp",
     )
-    solve.add_argument("--time-limit", type=float, default=3000.0)
+    solve.add_argument("--time-limit", type=seconds, default=3000.0)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument(
         "--branching",
@@ -361,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run methods over a manifest")
     bench.add_argument("manifest", help="manifest CSV from generate")
     bench.add_argument("--methods", default="bnp,heuristic")
-    bench.add_argument("--time-limit", type=float, default=3000.0)
+    bench.add_argument("--time-limit", type=seconds, default=3000.0)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", default=None, help="output CSV path")
     bench.set_defaults(func=cmd_bench)

@@ -122,7 +122,12 @@ def build_ilp(instance: ProblemInstance, decisions: Sequence[tuple] = ()) -> Lin
         if c.required_rate == 0:
             continue
         # windows no longer than the latency are never late; the lazy
-        # callback adds any other window row an integral candidate breaks
+        # callback adds any other window row an integral candidate breaks.
+        # In the LP relaxation the rows at j = floor(theta) + 1 are implied
+        # by the r = 1 strengthened row, as (j - theta) * sum(x) / f <= 1,
+        # and dropping them leaves the root bound as it is; but they steer
+        # branch-and-bound: without them the BD n = 8 benchmark instances
+        # took 41-57 nodes each instead of 1-11, and 3-6 times as long
         j = min(math.floor(c.effective_latency(f)) + 1, f)
         blocks.append((p * f, *service_rows(c, f, j)))
         blocks.append((p * f, *strengthened_rows(c, f)))

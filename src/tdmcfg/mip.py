@@ -175,9 +175,8 @@ class MipSolution:
     nodes: int = 0
 
 
-# the options scipy's linprog(method="highs") sets (simplex strategy 1 is
-# dual simplex); HiGHS's defaults otherwise
-HIGHS_OPTIONS = (("output_flag", False), ("presolve", "on"), ("simplex_strategy", 1))
+# HiGHS's defaults (presolve "choose", dual simplex), with its log off
+HIGHS_OPTIONS = (("output_flag", False),)
 
 LP_STATUS = {
     HighsModelStatus.kOptimal: LpStatus.OPTIMAL,

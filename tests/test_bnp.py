@@ -219,6 +219,36 @@ def test_warm_start_resumes_when_the_root_leaves_a_gap(monkeypatch):
     assert schedule_feasible(schedule, instance).feasible
 
 
+def test_failed_warm_start_of_many_runs_leaves_the_root_to_the_tree(monkeypatch):
+    # bnp-tree's ld4-s7 is not all bandwidth-dominated, so its warm start
+    # has eight runs; with every run failing, the tree closes it and the
+    # monolithic ILP never gets the whole, undecided instance
+    monkeypatch.setattr(heuristics, "generative", lambda *a, **k: (None, heuristics.NO_FEASIBLE))
+    completed = []
+    complete = bnp.complete_with_ilp
+
+    def recording(node, *args, **kwargs):
+        completed.append(node.decisions)
+        return complete(node, *args, **kwargs)
+
+    monkeypatch.setattr(bnp, "complete_with_ilp", recording)
+    instance = load_instance(CORPUS / "ld4-s7.json")
+    schedule, status, objective, bound, stats = solve_bnp(instance, BnpConfig(time_limit=60))
+    assert (status, objective, bound) == (MipStatus.OPTIMAL, Fraction(1), 1.0)
+    assert schedule_feasible(schedule, instance).feasible
+    assert not stats.heuristic_feasible and stats.nodes_opened > 1
+    assert () not in completed
+
+
+@pytest.mark.parametrize("limit", [math.nan, -1.0, -math.inf])
+def test_bad_time_limits_are_refused(limit):
+    with pytest.raises(ValueError, match="at least 0"):
+        BnpConfig(time_limit=limit)
+    # no limit, no time left and an infinite limit are all limits
+    for allowed in (None, 0, math.inf):
+        assert BnpConfig(time_limit=allowed).time_limit == allowed
+
+
 def test_solve_bnp_seed_pricing_obeys_time_limit():
     # seeding columns on this latency-dominated instance takes far longer
     # than the limit; the search must stop there, not finish seeding
@@ -231,13 +261,19 @@ def test_solve_bnp_seed_pricing_obeys_time_limit():
         assert schedule_feasible(schedule, instance).feasible
 
 
-@pytest.mark.parametrize("klass, seed", [("MD", 10), ("LD", 1)], ids=["MD8-s10", "LD8-s1"])
-def test_solve_bnp_root_completion_lp_obeys_time_limit(klass, seed):
-    # the heuristic fails here, so the root ILP completion runs HiGHS LPs
-    # on the whole instance until the deadline
+@pytest.mark.parametrize("klass, seed, runs", [
+    ("MD", 10, None), ("LD", 1, None), ("MD", 10, 1), ("LD", 1, 1),
+], ids=["MD8-s10", "LD8-s1", "MD8-s10-one-run", "LD8-s1-one-run"])
+def test_solve_bnp_root_completion_lp_obeys_time_limit(klass, seed, runs):
+    # the heuristic fails here.  With one warm-start run the root ILP slice
+    # runs HiGHS LPs on the whole instance for a third of the time left; by
+    # default (eight runs) no root slice runs, and the root node, the other
+    # runs and the tree take the time until the deadline
     instance = generate(GenSpec.default(klass, 8, seed=seed))
     t0 = time.monotonic()
-    schedule, status, _, _, _ = solve_bnp(instance, BnpConfig(time_limit=5))
+    schedule, status, _, _, _ = solve_bnp(
+        instance, BnpConfig(time_limit=5, heuristic_runs=runs)
+    )
     assert time.monotonic() - t0 < 5.75
     assert status in (MipStatus.TIMED_OUT, MipStatus.FEASIBLE)
     if schedule is not None:

@@ -96,16 +96,28 @@ def test_solve_missing_file_exit_code(tmp_path):
     (["--heuristic-runs", "two"], 1),
     (["--help"], 0),
     (["generate", "BD", "--count", "-1"], 1),
+    (["--time-limit", "nan"], 1),
+    (["--time-limit", "-1"], 1),
+    (["--method", "heuristic", "--time-limit", "nan"], 1),
+    (["bench", "manifest.csv", "--time-limit", "-1"], 1),
 ])
 def test_bad_arguments_exit_1(capsys, golden_path, args, code):
     # exit code 2 means "infeasible", so argparse's own 2 must not show;
     # arguments are to solve the golden instance unless they name generate
-    argv = args if args[0] == "generate" else ["solve", str(golden_path), *args]
+    # or bench
+    argv = args if args[0] in ("generate", "bench") else ["solve", str(golden_path), *args]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == code
     out = capsys.readouterr()
     assert ("error:" in out.err) == (code == 1)
+
+
+def test_time_limit_may_be_zero_or_inf():
+    for text, limit in [("0", 0.0), ("inf", float("inf"))]:
+        for command in (["solve", "in.json"], ["bench", "manifest.csv"]):
+            args = cli.build_parser().parse_args([*command, "--time-limit", text])
+            assert args.time_limit == limit
 
 
 def test_zero_heuristic_runs_make_no_run(monkeypatch, capsys, golden_path):
