@@ -211,9 +211,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _bench_one(path: Path, method: str, time_limit: float, seed: int) -> dict:
-    instance = serialize.load_instance(path)
     t0 = time.monotonic()
     try:
+        instance = serialize.load_instance(path)
         schedule, status, objective, bound, _ = run_method(
             instance, method, time_limit=time_limit, seed=seed
         )
@@ -238,9 +238,15 @@ def _bench_one(path: Path, method: str, time_limit: float, seed: int) -> dict:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     manifest = Path(args.manifest)
-    base = manifest.parent
-    with open(manifest, newline="") as fh:
-        paths = [base / row["instance"] for row in csv.DictReader(fh)]
+    try:
+        with open(manifest, newline="") as fh:
+            reader = csv.DictReader(fh, restval="")  # a short row names no file
+            if "instance" not in (reader.fieldnames or ()):
+                raise ValueError(f"{manifest} has no instance column")
+            paths = [manifest.parent / row["instance"] for row in reader]
+    except (OSError, ValueError, csv.Error) as exc:
+        log.error("cannot read manifest: %s", exc)
+        return EXIT_ERROR
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     results = [_bench_one(p, m, args.time_limit, args.seed) for p in paths for m in methods]
 

@@ -159,17 +159,6 @@ def latency_lazy_callback(instance: ProblemInstance):
     return callback
 
 
-def extract_schedule(instance: ProblemInstance, x: np.ndarray) -> Schedule:
-    f = instance.frame_size
-    slots: list[Optional[int]] = [None] * f
-    held = np.round(x).reshape(len(instance.clients), f) == 1
-    for p, s in zip(*np.nonzero(held)):
-        if slots[s] is not None:
-            raise ValueError(f"slot {s + 1} assigned twice in MIP solution")
-        slots[s] = instance.clients[p].id
-    return Schedule(tuple(slots))
-
-
 def solve_direct(
     instance: ProblemInstance,
     decisions: Sequence[tuple] = (),
@@ -194,6 +183,7 @@ def solve_direct(
     )
     if res.status in (MipStatus.INFEASIBLE, MipStatus.TIMED_OUT):
         return None, res.status, None, res.best_bound
-    schedule = extract_schedule(instance, res.x)
+    held = np.round(res.x).reshape(len(instance.clients), f) == 1
+    schedule = Schedule.from_masks(f, {c.id: held[p] for p, c in enumerate(instance.clients)})
     objective = Fraction(sum(schedule.alloc_count(c.id) for c in instance.clients), f)
     return schedule, res.status, objective, res.best_bound

@@ -8,9 +8,9 @@ equal bounds.  LPs run on HiGHS through the binding bundled with scipy,
 loaded from its file without the rest of scipy; the integer search is a
 hand-rolled depth-first branch-and-bound with a lazy-row hook,
 most-fractional branching and deterministic tie-breaking.
-It keeps one HiGHS handle per search and re-solves each node warm from the
-handle's last basis; every one-shot LP is passed to one long-lived handle,
-which the new model resets.
+Every LP and every search passes its model to the process's one HiGHS
+handle, which resets its model, basis and solution; a search re-solves each
+node warm from the handle's last basis.  No two calls may overlap.
 
 Dual sign convention: ``LpSolution.duals[r]`` belongs to row r, and the
 reduced cost of variable v in this minimization is
@@ -186,21 +186,19 @@ LP_STATUS = {
 }
 
 
-def _new_handle() -> _Highs:
+@functools.cache
+def _lp_handle() -> _Highs:
+    """The process's one HiGHS handle, made on first use."""
     highs = _Highs()
     for name, value in HIGHS_OPTIONS:
         highs.setOptionValue(name, value)
     return highs
 
 
-# the handle every solve_lp call passes its model to, made on first use
-_lp_handle = functools.cache(_new_handle)
-
-
-def _load(model: LinearModel, highs: Optional[_Highs] = None) -> _Highs:
-    """``highs`` (a new handle by default) holding just the model.  Passing
-    a model resets the handle's model, basis and solution; its options and
-    run time carry over.
+def _load(model: LinearModel) -> _Highs:
+    """The one handle, holding just the model.  Passing a model resets the
+    handle's model, basis and solution, so its answers equal a new
+    handle's; only its options and run time carry over.
     """
     n = len(model.c)
     A = model.A
@@ -209,7 +207,7 @@ def _load(model: LinearModel, highs: Optional[_Highs] = None) -> _Highs:
         len(model.row_lower), len(model.row_upper), len(A.indptr) - 1
     } != {A.shape[0]} or {len(A.indices), int(A.indptr[-1])} != {A.nnz}:
         raise ModelError("model arrays disagree in size")
-    highs = _new_handle() if highs is None else highs
+    highs = _lp_handle()
     highs.passModel(
         n, A.shape[0], A.nnz, 2, 1, 0.0,  # row-wise matrix, minimise, no offset
         model.c, model.lower, model.upper, model.row_lower, model.row_upper,
@@ -247,10 +245,10 @@ def solve_lp(model: LinearModel, deadline: float = math.inf) -> LpSolution:
     """Solve the LP relaxation; deterministic for a fixed input.
 
     HiGHS stops at ``deadline`` (a ``time.monotonic()`` value), which
-    gives ``LpStatus.TIMED_OUT``.  Every call passes its model to one
-    process-wide HiGHS handle, so calls must not overlap (no threads).
+    gives ``LpStatus.TIMED_OUT``.  The model goes to the process's one
+    HiGHS handle, so no call may overlap another or a ``solve_mip``.
     """
-    highs = _load(model, _lp_handle())
+    highs = _load(model)
     return _solution(highs, linprog(highs, deadline))
 
 
@@ -278,15 +276,17 @@ def solve_mip(
 ) -> MipSolution:
     """Depth-first branch-and-bound over the integer variables.
 
-    A node is the model under its own variable bounds, set on the search's
+    A node is the model under its own variable bounds, set on the process's
     one HiGHS handle.  Whenever an integral candidate appears, the lazy
     callback receives its rounded ``x`` and may return a violated ``<=``
     row; the row joins the handle for every later node and the node is
-    re-solved.  The caller's model is left unchanged.  ``bound_grid``
-    optionally rounds node bounds up to a known objective granularity,
-    which tightens pruning without affecting correctness.  Past ``deadline``
-    (``time.monotonic()``) the open nodes stay open and the result is
-    FEASIBLE or TIMED_OUT.
+    re-solved.  The callback must not solve LPs: that would replace the
+    search's model on the handle.  The caller's model is left unchanged.
+    ``bound_grid`` optionally rounds node bounds up to a known objective
+    granularity, which tightens pruning without affecting correctness.
+    Past ``deadline`` (``time.monotonic()``) the open nodes stay open and
+    the result is FEASIBLE or TIMED_OUT, unless none of them has a bound
+    below the incumbent's.
     """
     highs = _load(model)
     columns = np.arange(len(model.c), dtype=np.int32)
@@ -350,12 +350,13 @@ def solve_mip(
             break
 
     # every pruned bound is at least the incumbent less FEASIBILITY_TOL, so
-    # only the open nodes (the stack, empty unless timed out) can do better
-    open_bound = min((b for _, _, b in stack), default=math.inf)
+    # only the nodes left on the stack (none unless timed out) whose bound
+    # is below that can do better; the search is complete if there are none
+    open_bound = min((b for _, _, b in stack if b < prune_threshold()), default=math.inf)
     if best_x is None:
-        if timed_out:
+        if open_bound < math.inf:
             return MipSolution(MipStatus.TIMED_OUT, None, math.nan, open_bound, nodes)
         return MipSolution(MipStatus.INFEASIBLE, None, math.nan, math.inf, nodes)
-    if timed_out:
-        return MipSolution(MipStatus.FEASIBLE, best_x, best_obj, min(open_bound, best_obj), nodes)
+    if open_bound < math.inf:
+        return MipSolution(MipStatus.FEASIBLE, best_x, best_obj, open_bound, nodes)
     return MipSolution(MipStatus.OPTIMAL, best_x, best_obj, best_obj, nodes)

@@ -3,6 +3,7 @@
 import csv
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -252,3 +253,37 @@ def test_bench_produces_well_formed_csv(tmp_path, monkeypatch):
         statuses = [r["status"] for r in csv.DictReader(fh) if r["instance"] != "SUMMARY"]
     assert len(statuses) == 6 and statuses[0] == "error: boom"
     assert not any(status.startswith("error") for status in statuses[1:])
+
+
+def test_bench_records_unreadable_instances_and_manifests(tmp_path, capsys, caplog, golden_path):
+    # a missing or malformed instance file is an error row for each method;
+    # every row is still written and the exit code is 1
+    (tmp_path / "bad.json").write_text(json.dumps({"frame_size": 4, "clients": None}))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("instance,class\ngolden.json,BD\nmissing.json,BD\nbad.json,BD\n")
+    out_csv = tmp_path / "bench.csv"
+    args = ["bench", str(manifest), "--methods", "bnp,heuristic", "--out", str(out_csv)]
+    assert main(args) == 1
+    with open(out_csv, newline="") as fh:
+        rows = [(Path(r["instance"]).name, r["method"], r["status"]) for r in csv.DictReader(fh)]
+    assert [row[:2] for row in rows] == [
+        (name, method) for name in ("golden.json", "missing.json", "bad.json")
+        for method in ("bnp", "heuristic")
+    ] + [("SUMMARY", "bnp"), ("SUMMARY", "heuristic")]
+    assert [status for _, _, status in rows[:2]] == ["optimal", "feasible"]
+    assert all(status.startswith("error: ") for _, _, status in rows[2:6])
+    assert "missing.json" in rows[2][2]
+    # a row too short to name an instance is an error row too
+    (tmp_path / "short.csv").write_text("class,instance\nBD,golden.json\nBD\n")
+    assert main(["bench", str(tmp_path / "short.csv"), "--methods", "heuristic",
+                 "--out", str(out_csv)]) == 1
+    with open(out_csv, newline="") as fh:
+        statuses = [r["status"] for r in csv.DictReader(fh)]
+    assert statuses[0] == "feasible" and statuses[1].startswith("error: ")
+    # a manifest that is missing or has no instance column is refused
+    (tmp_path / "no_column.csv").write_text("file\ngolden.json\n")
+    for name in ("absent.csv", "no_column.csv"):
+        assert main(["bench", str(tmp_path / name), "--out", str(tmp_path / "x.csv")]) == 1
+    assert caplog.text.count("cannot read manifest") == 2
+    assert not (tmp_path / "x.csv").exists()
+    assert "Traceback" not in caplog.text + capsys.readouterr().err

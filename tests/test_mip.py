@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tdmcfg import mip
 from tdmcfg.mip import LinearModel, LpStatus, MipStatus, solve_lp, solve_mip, stack_rows
 
 SRC = Path(mip.__file__).resolve().parents[1]
+LINPROG = mip.linprog  # as imported, before any test wraps it
 
 
 def model(c, upper, rows=(), integer=True):
@@ -153,6 +155,31 @@ def test_solve_mip_time_limit_reports_timeout():
     res = solve_mip(knapsack_model(), deadline=time.monotonic() - 1.0)
     assert res.status == MipStatus.TIMED_OUT
     assert res.best_bound <= -19.0 + 1e-9 or math.isinf(res.best_bound)
+
+
+def test_deadline_with_every_open_node_pruned_reports_optimal(monkeypatch):
+    # max x0 + x1 with x0 + x1 <= 1.5: the root bound -1.5 snaps to -1, the
+    # first child finds the incumbent -1, and then the clock passes the
+    # deadline; the other child, left on the stack at bound -1, cannot beat
+    # it, so the search is complete
+    m = model([-1.0, -1.0], [1, 1], [([1.0, 1.0], 1.5)])
+    finished = []
+    linprog = mip.linprog
+
+    def counting(highs, deadline):
+        status = linprog(highs, deadline)
+        finished.append(status)
+        return status
+
+    monkeypatch.setattr(mip, "linprog", counting)
+    clock = SimpleNamespace(monotonic=lambda: 0.0 if len(finished) < 2 else 200.0)
+    monkeypatch.setattr(mip, "time", clock)
+    res = solve_mip(m, deadline=100.0, bound_grid=1.0)
+    assert len(finished) == 2
+    assert (res.status, res.objective, res.best_bound) == (MipStatus.OPTIMAL, -1.0, -1.0)
+    monkeypatch.undo()
+    res = solve_mip(m, bound_grid=1.0)
+    assert (res.status, res.objective, res.best_bound) == (MipStatus.OPTIMAL, -1.0, -1.0)
 
 
 def test_lp_time_out_keeps_the_node_open(monkeypatch):
@@ -295,6 +322,24 @@ def test_model_arrays_of_other_sizes_are_refused():
             solve_lp(m)
 
 
+def fresh_solution(monkeypatch, m, deadline=math.inf):
+    """``m`` solved on a new HiGHS handle, as the reference for the shared one."""
+    highs = mip._Highs()
+    for name, value in mip.HIGHS_OPTIONS:
+        highs.setOptionValue(name, value)
+    with monkeypatch.context() as patch:
+        patch.setattr(mip, "_lp_handle", lambda: highs)
+        assert mip._load(m) is highs
+    return mip._solution(highs, LINPROG(highs, deadline))
+
+
+def assert_bitwise_equal(a, b):
+    assert a.status == b.status
+    for u, v in ((a.x, b.x), (a.duals, b.duals)):
+        assert (u is None and v is None) or np.array_equal(u, v)
+    assert np.array_equal([a.objective], [b.objective], equal_nan=True)
+
+
 def test_reused_handle_matches_fresh_handles(monkeypatch, golden_instance, golden_seed_columns):
     # solve_lp passes every model to one handle; passModel must reset it so
     # that each answer is bitwise the answer of a new handle
@@ -336,13 +381,47 @@ def test_reused_handle_matches_fresh_handles(monkeypatch, golden_instance, golde
     ]
     for m, deadline, status in steps:
         shared = solve_lp(m, deadline)
-        highs = mip._load(m)
-        fresh = mip._solution(highs, linprog(highs, deadline))
+        fresh = fresh_solution(monkeypatch, m, deadline)
         assert shared.status == fresh.status == status
-        for a, b in ((shared.x, fresh.x), (shared.duals, fresh.duals)):
-            assert (a is None and b is None) or np.array_equal(a, b)
-        assert np.array_equal([shared.objective], [fresh.objective], equal_nan=True)
+        assert_bitwise_equal(shared, fresh)
     assert len(handles) == len(steps) and all(h is mip._lp_handle() for h in handles)
+
+
+def test_solve_lp_after_a_search_with_a_lazy_row_matches_a_fresh_handle(monkeypatch):
+    # the search leaves its lazy row and last node bounds on the one handle;
+    # loading the next model must clear both
+    m = model([-1.0, -1.0], [1, 1])
+    lazy = lambda x: (np.array([0, 1]), np.array([1.0, 1.0]), 1.0) if x.sum() > 1 else None
+    assert solve_mip(m, lazy=lazy).objective == pytest.approx(-1.0)
+    assert mip._lp_handle().getLp().num_row_ == 1
+    shared = solve_lp(m)
+    assert shared.objective == pytest.approx(-2.0)  # the lazy row is gone
+    assert_bitwise_equal(shared, fresh_solution(monkeypatch, m))
+    assert solve_mip(m, lazy=lazy).status == MipStatus.OPTIMAL
+    relaxation = knapsack_model()
+    assert_bitwise_equal(solve_lp(relaxation), fresh_solution(monkeypatch, relaxation))
+
+
+def test_every_search_and_lp_runs_on_the_one_handle(monkeypatch):
+    # the ILP's branch-and-bound, and branch-and-price's master, dual
+    # selection, pricing and node completion, all solve on _lp_handle()
+    from tdmcfg.bnp import BnpConfig, solve_bnp
+    from tdmcfg.ilp import solve_direct
+    from tdmcfg.serialize import load_instance
+
+    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+    handles = []
+    linprog = mip.linprog
+    monkeypatch.setattr(mip, "linprog", lambda h, d: handles.append(h) or linprog(h, d))
+    _, status, _, _ = solve_direct(load_instance(corpus / "ilp-bd8" / "bd8-s3.json"))
+    assert status == MipStatus.OPTIMAL
+    searched = len(handles)
+    _, status, _, _, stats = solve_bnp(
+        load_instance(corpus / "bnp-tree" / "ld4-s7.json"), BnpConfig(time_limit=60)
+    )
+    assert status == MipStatus.OPTIMAL and stats.completions > 0
+    assert searched >= 1 and len(handles) > searched
+    assert all(h is mip._lp_handle() for h in handles)
 
 
 def test_each_solve_lp_gets_its_own_budget():
