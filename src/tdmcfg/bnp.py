@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .colgen import (
-    ColumnPool, MasterSolution, NodeInfeasibleError, column_generation, slots_of,
+    ColumnPool, LpTimeoutError, MasterSolution, NodeInfeasibleError, column_generation,
+    fewest_slot_masks, slots_of,
 )
 from .heuristics import allocated_slots, best_of_runs
 from .ilp import solve_direct
@@ -185,14 +186,19 @@ def solve_bnp(
 ) -> tuple[Optional[Schedule], MipStatus, Optional[Fraction], float, BnpStats]:
     """Branch-and-price search for the minimal-allocation schedule.
 
-    The warm start's runs of the generative heuristic share one budget, a
-    third of the time limit; a schedule that meets the slot-bound sum ends
-    the solve.  A warm start of at most one run (the default when every
-    client is bandwidth-dominated) is that run, then, if it found nothing,
-    the monolithic ILP for a third of the time left, then depth-first
-    search.  A longer one (eight runs by default) is the first run, then
-    the root node, then the other runs only if the root branches, stopped
-    at its bound, then depth-first search.
+    In order: the formula check (a slot-bound sum above f is infeasible);
+    the first run of the generative heuristic, which ends the solve if it
+    meets the slot-bound sum; the exact floor, the sum of each client's
+    fewest slots (``fewest_slot_masks``; the slot-bound sum if the deadline
+    passes first), which ends the solve if it exceeds f or the run meets
+    it; and the root, seeded with every rotation of each client's
+    fewest-slot mask, so that its master starts at the floor.  The warm
+    start's runs share one budget, a third of the time limit.  A warm start
+    of at most one run (the default when every client is
+    bandwidth-dominated) that found nothing is followed, before the root,
+    by the monolithic ILP for a third of the time left.  In a longer one
+    (eight runs by default) the other runs follow the root only if it
+    branches, stopped at its bound.  Depth-first search follows.
     """
     config = config or BnpConfig()
     stats = BnpStats()
@@ -257,6 +263,21 @@ def solve_bnp(
     if best_slots <= total_lb:
         # the incumbent meets the sum of per-client slot lower bounds
         return result()
+    # the exact floor, each client's fewest slots; the formula sum stands in
+    # when the deadline passes first
+    try:
+        masks = fewest_slot_masks(instance, deadline)
+    except LpTimeoutError:
+        masks = []
+    floor = sum(int(mask.sum()) for mask in masks) if masks else total_lb
+    if floor > f or best_slots <= floor:
+        # no schedule fits in the frame, or the incumbent meets the floor
+        return result()
+    # every rotation of each fewest-slot mask: the root master starts with a
+    # mix that loads every slot by floor / f, its bound with nothing decided
+    for client, mask in zip(instance.clients, masks):
+        for k in range(f):
+            pool.add(client.id, np.roll(mask, k))
     if incumbent is None and runs <= 1:
         # a third of the time left for the monolithic ILP at the root, so the
         # search has an incumbent to prune against
@@ -277,8 +298,8 @@ def solve_bnp(
 
     # a node whose column generation or completion runs out of time goes
     # back on the stack with its bound, so open work is exactly the stack;
-    # the root starts at the slot-bound sum, which holds before it is opened
-    stack: list[BnpNode] = [BnpNode(root_decisions, total_lb / f)]
+    # the root starts at the floor, which holds before it is opened
+    stack: list[BnpNode] = [BnpNode(root_decisions, floor / f)]
     while stack and time.monotonic() <= deadline:
         if stats.nodes_opened == 1 and runs > 1:
             # the root branched, so its bound, which its children carry,

@@ -286,7 +286,9 @@ def price_client(
     of any tie-break perturbation.  Raises
     NodeInfeasibleError when no mask meets the client's requirements under
     the branching decisions, and LpTimeoutError when an LP reaches
-    ``deadline``.
+    ``deadline``.  Each candidate mask, greedy or an LP vertex, passes
+    ``client_feasible`` once, where it is made; an LP vertex that fails
+    raises RuntimeError.
     """
     f = frame_size
     lower, upper = mask_bounds(client.id, f, decisions)
@@ -320,14 +322,36 @@ def price_client(
             if lp.status != LpStatus.OPTIMAL:
                 continue
             mask = np.round(np.diff(lp.x))
+            if not client_feasible(mask.astype(int), client, f).feasible:
+                raise RuntimeError(f"pricing LP gave client {client.id} an infeasible mask")
         if cost @ mask < best_cost:
             best, best_cost = mask, cost @ mask
     if best is None:
         raise NodeInfeasibleError(client.id)
     mask = best.astype(int)
-    if not client_feasible(mask, client, f).feasible:
-        raise RuntimeError(f"pricing gave client {client.id} an infeasible mask")
     return mask, sum(lam[best == 1].tolist()) + int(mask.sum()) / f
+
+
+def fewest_slot_masks(
+    instance: ProblemInstance, deadline: float = math.inf
+) -> list[np.ndarray]:
+    """Each client's feasible mask with the fewest slots, by client position.
+
+    Pricing at zero slot prices with no decisions is exact, so the mask of
+    client c holds t_c slots, the fewest of any feasible mask of c, and
+    the sum of the t_c bounds every schedule's slot count from below; it
+    is never below ``slot_bound_sum``.  A mask's rotations are
+    feasible too, because latency windows are cyclic.  Raises
+    NodeInfeasibleError when some client has no feasible mask, and
+    LpTimeoutError when ``deadline`` passes first.
+    """
+    f = instance.frame_size
+    masks = []
+    for client in instance.clients:
+        if time.monotonic() >= deadline:
+            raise LpTimeoutError("between pricing calls")
+        masks.append(price_client(client, np.zeros(f), f, deadline=deadline)[0])
+    return masks
 
 
 def ensure_seed_columns(

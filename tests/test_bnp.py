@@ -26,7 +26,7 @@ from tdmcfg.bnp import (
 )
 from tdmcfg.colgen import ColGenResult, MasterSolution
 from tdmcfg.mip import MipStatus
-from tdmcfg.model import ClientRequirement, ProblemInstance
+from tdmcfg.model import ClientRequirement, ProblemInstance, slot_bound_sum
 from tdmcfg.serialize import load_instance
 from tdmcfg.usecase import GenSpec, generate
 from tdmcfg.verify import brute_force_optimum, schedule_feasible
@@ -135,6 +135,38 @@ def test_solve_bnp_matches_brute_force_on_small_instances():
         else:
             assert status == MipStatus.OPTIMAL
             assert objective == bf_obj
+
+
+def test_exact_floor_ends_the_solve_before_the_root():
+    # LD n = 8 seed 2: each client's fewest slots sum to 67 > 64, so no
+    # schedule exists, and neither the root nor the ILP is tried
+    instance = generate(GenSpec.default("LD", 8, seed=2))
+    assert sum(mask.sum() for mask in colgen.fewest_slot_masks(instance)) == 67
+    schedule, status, _, bound, stats = solve_bnp(instance)
+    assert (schedule, status, bound) == (None, MipStatus.INFEASIBLE, math.inf)
+    assert (stats.nodes_opened, stats.completions) == (0, 0)
+    # MD n = 8 seeds 2 and 4: run 1 meets the floor, one slot above the
+    # slot-bound sum, so its schedule is optimal with no node opened
+    for seed, slots in ((2, 52), (4, 51)):
+        instance = generate(GenSpec.default("MD", 8, seed=seed))
+        schedule, status, objective, bound, stats = solve_bnp(instance)
+        assert (status, objective) == (MipStatus.OPTIMAL, Fraction(slots, 64))
+        assert slot_bound_sum(instance) == slots - 1
+        assert (stats.nodes_opened, stats.completions) == (0, 0)
+        assert schedule_feasible(schedule, instance).feasible
+
+
+def test_root_bound_lies_between_the_floor_and_the_optimum():
+    # the root starts from every rotation of each client's fewest-slot mask
+    for path in sorted(CORPUS.glob("*.json")):
+        instance = load_instance(path)
+        f = instance.frame_size
+        floor = sum(mask.sum() for mask in colgen.fewest_slot_masks(instance))
+        _, optimum = brute_force_optimum(instance, budget=10**9)
+        _, status, objective, _, stats = solve_bnp(instance)
+        assert (status, objective) == (MipStatus.OPTIMAL, optimum), path.name
+        root = stats.node_log[0][0]
+        assert floor / f - 1e-9 <= root <= optimum + 1e-9, path.name
 
 
 def test_solve_bnp_time_limit_returns_promptly(golden_instance):
@@ -379,6 +411,19 @@ def test_solve_bnp_prunes_infeasible_nodes_without_incumbent(monkeypatch):
     instance = ProblemInstance(7, (
         ClientRequirement(1, "c1", Fraction(3, 7), None),
         ClientRequirement(2, "c2", Fraction(2, 7), Fraction(1)),
+    ))
+    assert brute_force_optimum(instance) == (None, None)
+    schedule, status, _, bound, stats = solve_bnp(instance, config)
+    assert status == MipStatus.INFEASIBLE and schedule is None
+    assert math.isinf(bound)
+    # the exact floor (3 + 6 slots) shows it before the root opens
+    assert (stats.nodes_opened, stats.nodes_pruned) == (0, 0)
+    # here the floor (1 + 3 + 2) fills the frame, but c2 holds every other
+    # slot, and no two of the other three meet c3's latency
+    instance = ProblemInstance(6, (
+        ClientRequirement(1, "c1", Fraction(1, 6), None),
+        ClientRequirement(2, "c2", Fraction(1, 2), Fraction(1)),
+        ClientRequirement(3, "c3", Fraction(1, 3), Fraction(5, 2)),
     ))
     assert brute_force_optimum(instance) == (None, None)
     schedule, status, _, bound, stats = solve_bnp(instance, config)

@@ -16,6 +16,7 @@ from tdmcfg.colgen import (
     canonical_duals,
     column_generation,
     ensure_seed_columns,
+    fewest_slot_masks,
     price_client,
     slots_of,
     solve_master,
@@ -26,6 +27,7 @@ from tdmcfg.mip import LpSolution, LpStatus
 from tdmcfg.model import ClientRequirement, ProblemInstance, latency_witness, slot_bound_sum
 from tdmcfg.serialize import load_instance
 from tdmcfg.usecase import GenSpec, generate
+from tdmcfg.verify import _feasible_masks, client_feasible
 
 from conftest import brute_force_price, column_admissible
 
@@ -215,6 +217,67 @@ def test_price_client_matches_brute_force():
             assert latency_witness(mask, client.effective_latency(f)) is None
         assert column_admissible(1, mask, decisions)
     assert 20 <= infeasible <= 200
+
+
+def _recording_checks(monkeypatch) -> list:
+    """Patch pricing's feasibility check to record every mask it checks."""
+    checked = []
+
+    def recording(mask, client, frame_size):
+        checked.append(list(mask))
+        return client_feasible(mask, client, frame_size)
+
+    monkeypatch.setattr(colgen, "client_feasible", recording)
+    return checked
+
+
+def test_price_client_checks_each_candidate_once(monkeypatch):
+    checked = _recording_checks(monkeypatch)
+    # rate only: the greedy mask of the fewest slots wins, checked once
+    client = ClientRequirement(1, "c", Fraction(3, 8), None)
+    mask, _ = price_client(client, np.zeros(8), 8)
+    assert checked == [mask.tolist()] == [[1, 1, 1, 0, 0, 0, 0, 0]]
+    # latency 1 at rate 1/2: the greedy mask (slots 1-4) fails, and the
+    # LP's vertex, which wins, is checked where it is made
+    checked.clear()
+    client = ClientRequirement(1, "c", Fraction(1, 2), Fraction(1))
+    mask, _ = price_client(client, np.zeros(8), 8)
+    assert checked == [[1, 1, 1, 1, 0, 0, 0, 0], mask.tolist()]
+
+
+def test_price_client_refuses_an_infeasible_lp_vertex(monkeypatch):
+    # the greedy mask (slots 1-4) breaks latency 1, so the LP runs; a vertex
+    # that holds the same slots breaks it too and must not be returned
+    client = ClientRequirement(1, "c", Fraction(1, 2), Fraction(1))
+    prefix = np.cumsum([0, 1, 1, 1, 1, 0, 0, 0, 0]).astype(float)
+    monkeypatch.setattr(
+        colgen, "solve_lp", lambda model, deadline: LpSolution(LpStatus.OPTIMAL, prefix)
+    )
+    with pytest.raises(RuntimeError, match="infeasible mask"):
+        price_client(client, np.zeros(8), 8)
+
+
+def test_fewest_slot_masks_match_brute_force():
+    # t_c is the fewest slots of any feasible mask, and every rotation of
+    # the mask is feasible, because latency windows are cyclic
+    rng = random.Random(25)
+    for case in range(60):
+        f = rng.randint(3, 12)
+        rate = Fraction(rng.randint(0, f), rng.choice([f, 2 * f]))
+        latency = None if case % 4 == 0 else Fraction(rng.randint(0, 3 * f), rng.choice([1, 2, 3]))
+        client = ClientRequirement(1, "c", rate, latency)
+        instance = ProblemInstance(f, (client,))
+        (mask,) = fewest_slot_masks(instance)
+        assert mask.sum() == _feasible_masks(client, f)[0].bit_count(), client
+        assert mask.sum() >= slot_bound_sum(instance)
+        for k in range(f):
+            assert client_feasible(np.roll(mask, k), client, f).feasible, (client, k)
+
+
+def test_fewest_slot_masks_obey_the_deadline():
+    instance = generate(GenSpec.default("LD", 8, seed=2))
+    with pytest.raises(colgen.LpTimeoutError):
+        fewest_slot_masks(instance, deadline=0.0)
 
 
 def test_column_generation_reaches_integral_optimum(
