@@ -162,9 +162,7 @@ def complete_with_ilp(
     node: BnpNode, instance: ProblemInstance, deadline: float = math.inf
 ) -> tuple[Optional[Schedule], MipStatus]:
     """Close a node by solving the monolithic ILP under its decisions."""
-    schedule, status, _, _ = solve_direct(
-        instance, node.decisions, time_limit=deadline - time.monotonic()
-    )
+    schedule, status, _, _ = solve_direct(instance, node.decisions, deadline)
     return schedule, status
 
 

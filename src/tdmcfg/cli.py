@@ -46,9 +46,13 @@ def run_method(
     branching: str = "auto",
     heuristic_runs: Optional[int] = None,
 ) -> tuple[Optional[Schedule], str, Optional[Fraction], float, dict]:
-    """Dispatch one solve; returns (schedule, status, objective, bound, stats)."""
+    """Dispatch one solve; returns (schedule, status, objective, bound, stats).
+
+    ``time_limit`` (seconds) starts at this call.
+    """
     if method == "ilp":
-        schedule, status, objective, bound = solve_direct(instance, time_limit=time_limit)
+        deadline = time.monotonic() + (math.inf if time_limit is None else time_limit)
+        schedule, status, objective, bound = solve_direct(instance, deadline=deadline)
         return schedule, status.value, objective, bound, {}
     if method == "bnp":
         config = BnpConfig(

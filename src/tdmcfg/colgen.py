@@ -24,7 +24,6 @@ one ``sig`` per client.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 import weakref
@@ -247,17 +246,26 @@ def build_sub_model(client: ClientRequirement, frame_size: int, t: int) -> Linea
     )
 
 
-# pricing sub-models by client, then by (frame size, slot count t).  A
-# sub-model depends on nothing else, so every solve may share it; an entry
-# lives as long as its client, so no model may refer back to the client
-_SUB_MODELS = weakref.WeakKeyDictionary()
+@dataclass
+class _PricingMemo:
+    """What pricing keeps of one client at one frame size: its slot lower
+    bound and its sub-model of each slot count t built so far."""
+
+    lower_bound: int
+    models: dict[int, LinearModel] = field(default_factory=dict)
 
 
-def _sub_model(client: ClientRequirement, frame_size: int, t: int) -> LinearModel:
-    models = _SUB_MODELS.setdefault(client, {})
-    if (frame_size, t) not in models:
-        models[frame_size, t] = build_sub_model(client, frame_size, t)
-    return models[frame_size, t]
+# pricing memos by client, then by frame size.  A memo depends on nothing
+# else, so every solve may share it; an entry lives as long as its client,
+# so no memo may refer back to the client
+_PRICING_MEMO = weakref.WeakKeyDictionary()
+
+
+def _pricing_memo(client: ClientRequirement, frame_size: int) -> _PricingMemo:
+    by_frame = _PRICING_MEMO.setdefault(client, {})
+    if frame_size not in by_frame:
+        by_frame[frame_size] = _PricingMemo(slot_lower_bound(client, frame_size))
+    return by_frame[frame_size]
 
 
 def price_client(
@@ -277,11 +285,16 @@ def price_client(
     costs are positive, so that cheapest mask bounds every mask of t slots
     from below, and the bound grows with t: the search stops once it
     reaches the best mask found.  ``tie_break`` (slot s at index s - 1)
-    adds an epsilon-scaled per-slot cost that steers the choice among
-    equal-cost columns without disturbing the primary objective.  Each LP
-    is built once per (client, f, t) and kept while the client lives; each
-    solve sets its objective and the right-hand sides of its slot box from
-    the decisions.  Returns the mask (an integer 0/1 array) and its cost,
+    adds TIE_BREAK_EPS times its value to each slot's cost.  The greedy
+    mask minimises that perturbed cost among the masks of its slot count
+    exactly; an LP vertex minimises it only to HiGHS's dual feasibility
+    tolerance (1e-7, the scale of the perturbation), so among equally priced
+    masks the tie-break steers the LPs without deciding them.  The client's
+    slot lower bound and each LP are kept in one memo entry per (client,
+    f), found once per call and kept while the client lives; each LP is
+    built once per (client, f, t), and each solve sets its objective and
+    the right-hand sides of its slot box from the decisions.  Returns the
+    mask (an integer 0/1 array) and its cost,
     the prices of its slots plus slots / f, recomputed from the mask free
     of any tie-break perturbation.  Raises
     NodeInfeasibleError when no mask meets the client's requirements under
@@ -302,19 +315,23 @@ def price_client(
     free = free[np.argsort(cost[free], kind="stable")]
     # floor[i]: cost of the forced slots and the i cheapest free ones
     floor = cost[lower == 1].sum() + np.concatenate([[0.0], np.cumsum(cost[free])])
-    # the sub-models' objective and the right-hand sides of their slot box
-    prefix_costs, box = _prefix_costs(cost), np.concatenate([upper, -lower])
+    memo = _pricing_memo(client, f)
     best, best_cost = None, math.inf
-    for t in range(max(slot_lower_bound(client, f), forced), forced + len(free) + 1):
+    for t in range(max(memo.lower_bound, forced), forced + len(free) + 1):
         if floor[t - forced] >= best_cost - 1e-12:
             break
         mask = lower.copy()
         mask[free[:t - forced]] = 1.0
-        if not client_feasible(mask.astype(int), client, f).feasible:
-            model = _sub_model(client, f, t)
-            row_upper = np.concatenate([box, model.row_upper[2 * f:]])
+        if not client_feasible(mask, client, f).feasible:
+            model = memo.models.get(t)
+            if model is None:
+                model = memo.models[t] = build_sub_model(client, f, t)
+            # the costs as the objective, the decisions as the slot box
             lp = solve_lp(
-                dataclasses.replace(model, c=prefix_costs, row_upper=row_upper),
+                LinearModel(
+                    _prefix_costs(cost), model.lower, model.upper, model.integer, model.A,
+                    model.row_lower, np.concatenate([upper, -lower, model.row_upper[2 * f:]]),
+                ),
                 deadline=deadline,
             )
             if lp.status == LpStatus.TIMED_OUT:
@@ -322,10 +339,11 @@ def price_client(
             if lp.status != LpStatus.OPTIMAL:
                 continue
             mask = np.round(np.diff(lp.x))
-            if not client_feasible(mask.astype(int), client, f).feasible:
+            if not client_feasible(mask, client, f).feasible:
                 raise RuntimeError(f"pricing LP gave client {client.id} an infeasible mask")
-        if cost @ mask < best_cost:
-            best, best_cost = mask, cost @ mask
+        mask_cost = cost @ mask
+        if mask_cost < best_cost:
+            best, best_cost = mask, mask_cost
     if best is None:
         raise NodeInfeasibleError(client.id)
     mask = best.astype(int)

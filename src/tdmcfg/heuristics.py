@@ -4,8 +4,16 @@ The heuristic iterates single-client calls of the exact pricing oracle
 (``colgen.price_client``) with artificial slot prices: slots recently
 contested by other clients get expensive, slots a client already holds
 without conflict stay cheap, so clients gradually drift apart until the
-composite schedule is collision-free.  A seeded random tie-break picks
-among equally priced columns.  A run gives up once STALL_ROUNDS rounds of
+composite schedule is collision-free.  Each call also passes a seeded
+random tie-break, which adds ``colgen.TIE_BREAK_EPS`` times a random value
+in [0, 1) to each slot's cost.  It decides among equally priced masks only
+where pricing picks the mask itself (the cheapest slots of a count);
+an LP vertex follows it only as far as HiGHS's tolerances allow, because
+the perturbation is as small as HiGHS's dual feasibility tolerance.  On
+one round of the perfbench ``bnp-tree`` corpus, 174 pricing calls with a
+tie-break had more than one optimal mask, and 137 of them returned a mask
+that minimises the tie-break; every one that did not had solved an LP.
+A run gives up once STALL_ROUNDS rounds of
 calls leave every mask as it was.  ``best_of_runs`` repeats it with new
 seeds and stops at a schedule that meets a floor no schedule can beat: the
 sum of the slot lower bounds by default, or a stronger bound the caller

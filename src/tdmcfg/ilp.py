@@ -162,15 +162,20 @@ def latency_lazy_callback(instance: ProblemInstance):
 def solve_direct(
     instance: ProblemInstance,
     decisions: Sequence[tuple] = (),
+    deadline: float = math.inf,
+    *,
     time_limit: Optional[float] = None,
 ):
     """Solve an instance with the monolithic ILP.
 
     Returns (schedule or None, MipStatus, objective Fraction or None,
     best_bound float).  ``decisions`` restrict the schedule as in
-    ``build_ilp``; ``time_limit`` (seconds) covers the model build too.
+    ``build_ilp``; ``deadline`` (a ``time.monotonic()`` value) covers the
+    model build too.  ``time_limit`` (seconds from the call), the form
+    ``perfbench/run.py`` calls, ends the solve at the earlier of the two.
     """
-    deadline = time.monotonic() + (math.inf if time_limit is None else time_limit)
+    if time_limit is not None:
+        deadline = min(deadline, time.monotonic() + time_limit)
     f = instance.frame_size
     if slot_bound_sum(instance) > f:
         return None, MipStatus.INFEASIBLE, None, math.inf

@@ -66,11 +66,11 @@ HighsModelStatus, _Highs = highspy.HighsModelStatus, highspy._Highs
 
 # One 4 MB block, allocated and freed.  glibc's malloc raises its mmap
 # threshold to the size of a freed mmapped block (mallopt(3)), so later
-# blocks of 128 KB and more, such as the f x f int64 temporaries of
-# model.late_windows and HiGHS's own buffers, come from the heap instead of
-# a fresh mmap that page-faults on every call.  Importing scipy.optimize did
-# this as a side effect; without it one round of the perfbench warmstart
-# corpus took about 9 000 minor page faults instead of tens.
+# blocks of 128 KB and more, such as HiGHS's own buffers, come from the
+# heap instead of a fresh mmap that page-faults on every call.  Importing
+# scipy.optimize did this as a side effect; without it one round of the
+# perfbench warmstart corpus took about 9 000 minor page faults instead of
+# tens, when every mask check still built f x f int64 window counts.
 np.empty(1 << 19)
 
 FEASIBILITY_TOL = 1e-9
@@ -237,7 +237,7 @@ def _solution(highs: _Highs, status: HighsModelStatus) -> LpSolution:
     sol = highs.getSolution()
     return LpSolution(
         LpStatus.OPTIMAL, np.array(sol.col_value), np.array(sol.row_dual),
-        float(highs.getInfo().objective_function_value),
+        float(highs.getObjectiveValue()),
     )
 
 

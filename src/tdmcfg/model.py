@@ -1,18 +1,25 @@
 """Domain types and exact latency-rate analysis of TDM schedules.
 
 Rates are fractions of the frame, latencies are measured in slots.  All
-analysis is exact: rates and latencies are rationals, and one integer
-window kernel (``late_windows``) scales the latency-rate service bound by
-the latency's denominator, so feasibility verdicts never depend on
-floating-point tolerances.  ``mask_bounds`` is the one place where
-branching decisions become per-slot bounds on a client's mask, and
-``window_lengths`` the one place where the latency condition becomes
-window needs, for pricing and the ILP alike.
+analysis is exact: rates and latencies are rationals, and every check
+scales the latency-rate service bound by the latency's denominator, so
+feasibility verdicts never depend on floating-point tolerances.  One mask
+is checked by ``latency_witness``, which decides lateness only at the need
+lengths of ``window_lengths`` from the held slot positions, in time
+proportional to the slots held; ``late_windows`` counts the service of
+every one of the f x f cyclic windows, for a stack of masks at once (the
+brute-force oracle, and the reference that ``latency_witness`` must
+match).  ``mask_bounds`` is the one place where branching decisions
+become per-slot bounds on a client's mask, and ``window_lengths`` the one
+place where the latency condition becomes window needs, for the check,
+pricing and the ILP alike.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -113,7 +120,8 @@ class DominanceClass(Enum):
 
 def rate_slot_bound(req: ClientRequirement, frame_size: int) -> int:
     """Slots needed for the rate requirement alone: ceil(rate * f)."""
-    return math.ceil(req.required_rate * frame_size)
+    rate = req.required_rate
+    return -(-rate.numerator * frame_size // rate.denominator)
 
 
 def latency_slot_bound(req: ClientRequirement, frame_size: int) -> int:
@@ -239,62 +247,88 @@ def allocated_rate(
     return Fraction(schedule.alloc_count(client_id), schedule.frame_size)
 
 
-def window_service(masks) -> np.ndarray:
-    """Slots held in every cyclic window, for one 0/1 mask or a stack.
+def late_windows(masks, theta) -> np.ndarray:
+    """Windows where the LR service bound fails, for one 0/1 mask or a stack.
 
     For masks of shape ``(..., f)`` the result has shape ``(..., f, f)``;
-    entry ``[..., j - 1, k - 1]`` counts the slots held among the j
-    consecutive slots starting at slot k (1-based), wrapping cyclically.
+    entry ``[..., j - 1, k - 1]`` is window (k, j), the j consecutive slots
+    from slot k (1-based), wrapping cyclically.  A mask holding phi slots
+    meets latency theta = num / den when every window gives it service * f
+    >= phi * (j - theta); window (k, j) is late when service * f * den <
+    phi * (j * den - num).  All integer; prefix sums of the doubled mask
+    give the service of every window.
     """
+    theta = Fraction(theta)
+    num, den = theta.numerator, theta.denominator
     m = np.asarray(masks, dtype=np.int64)
     f = m.shape[-1]
     prefix = np.zeros(m.shape[:-1] + (2 * f + 1,), dtype=np.int64)
     np.cumsum(np.concatenate([m, m], axis=-1), axis=-1, out=prefix[..., 1:])
     starts = np.arange(f)[None, :]
     ends = starts + np.arange(1, f + 1)[:, None]
-    return prefix[..., ends] - prefix[..., starts]
-
-
-def late_windows(masks, theta) -> np.ndarray:
-    """Windows where the LR service bound fails, shaped like ``window_service``.
-
-    A mask holding phi slots meets latency theta = num / den when every
-    window (k, j) gives it service * f >= phi * (j - theta); window (k, j)
-    is late when service * f * den < phi * (j * den - num).  All integer.
-    """
-    theta = Fraction(theta)
-    num, den = theta.numerator, theta.denominator
-    m = np.asarray(masks, dtype=np.int64)
-    f = m.shape[-1]
     # exact beyond int64 too: fall back to Python integers
     dtype = np.int64 if f * (f * den + abs(num)) < 2**62 else object
-    service = window_service(m).astype(dtype, copy=False)
+    service = (prefix[..., ends] - prefix[..., starts]).astype(dtype, copy=False)
     phi = m.sum(axis=-1, keepdims=True)[..., None].astype(dtype)
     need = phi * (np.arange(1, f + 1, dtype=dtype) * den - num)[:, None]
     return service * (f * den) < need
 
 
+def _held_slots(mask: Sequence[int]) -> tuple[list[int], int]:
+    """The held 0-based slots p_0 < ... < p_{phi-1} of a 0/1 mask, and phi
+    times its service latency, max(d) - min(d) + f - phi with d_m = phi *
+    p_m - m * f (``latency_witness`` derives it); 0 for an empty mask."""
+    f = len(mask)
+    held = np.flatnonzero(mask).tolist()
+    phi = len(held)
+    d = [phi * p - m * f for m, p in enumerate(held)]
+    return held, max(d) - min(d) + f - phi if held else 0
+
+
 def latency_witness(mask: Sequence[int], theta) -> Optional[tuple[int, int]]:
-    """First late window (k, j) in j-major, k-minor order, or None."""
-    late = np.flatnonzero(late_windows(mask, theta))
-    if late.size == 0:
+    """First late window (k, j) in j-major, k-minor order, or None.
+
+    The answer of ``late_windows``, decided only at the need lengths j_1 <
+    j_2 < ... of ``window_lengths``, in integers.  The need of a window
+    first reaches r at j_r and service never falls as a window grows, so
+    the first late length is some j_r.  With the held 0-based slots p_0 <
+    ... < p_{phi-1}, continued cyclically as p_{i+phi} = p_i + f, the
+    windows that start just after a held slot are the least served, so all
+    windows of length j_r hold r slots iff p_{i+r} - p_i <= j_r for every
+    i (a length of f or more always does).  As j_r = floor(theta + (r - 1)
+    * f / phi) + 1, that reads d_{i+r} - d_i <= phi * (theta + 1) - f with
+    d_m = phi * p_m - m * f, and d has period phi: every r holds at once iff
+    max(d) - min(d) does, which takes time proportional to phi.  Only a
+    late mask scans the j_r for the first that fails, and then the starts
+    k for the first window of that length holding fewer than r slots.
+    """
+    f = len(mask)
+    held, scaled_latency = _held_slots(mask)
+    if not held:
         return None
-    j, k = divmod(int(late[0]), len(mask))
-    return (k + 1, j + 1)
+    if not isinstance(theta, Fraction):
+        theta = Fraction(theta)
+    phi = len(held)
+    if theta.denominator * scaled_latency <= theta.numerator * phi:
+        return None
+    cyclic = held + [p + f for p in held]
+    for r, j in enumerate(window_lengths(theta, f, phi), start=1):
+        if max(map(operator.sub, cyclic[r:r + phi], held)) > j:
+            k = next(
+                k for k in range(f)
+                if bisect.bisect_left(cyclic, k + j) - bisect.bisect_left(cyclic, k) < r
+            )
+            return (k + 1, j)
+    return None
 
 
 def mask_service_latency(mask: Sequence[int]) -> Fraction:
-    """Minimum latency satisfying the LR service bound for a 0/1 mask.
-
-    theta = max(0, max_{k,j} (j - service(k, j) * f / phi)); one frame adds
-    exactly phi service, so durations beyond f never dominate.
-    """
-    f = len(mask)
-    phi = int(sum(mask))
-    if phi == 0:
+    """Minimum latency satisfying the LR service bound for a 0/1 mask: the
+    least theta that ``latency_witness`` accepts."""
+    held, scaled_latency = _held_slots(mask)
+    if not held:
         raise LatencyUndefinedError("client holds no slots, latency undefined")
-    worst = np.arange(1, f + 1) * phi - f * window_service(mask).min(axis=-1)
-    return Fraction(max(0, int(worst.max())), phi)
+    return Fraction(scaled_latency, len(held))
 
 
 def service_latency(schedule: Schedule, client_id: int) -> Fraction:

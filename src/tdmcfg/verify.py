@@ -1,10 +1,15 @@
 """Feasibility checker and brute-force oracle.
 
 Feasibility is judged purely from the exact LR analysis in ``model``:
-the checker builds no solver constraints, but it shares the ``model``
-window kernel with the solvers' lazy latency separation.  The check that
-shares no code with ``tdmcfg`` at all is ``perfbench/checker.py``.
-All comparisons are exact, never tolerance-based.
+the checker builds no solver constraints, but it shares
+``model.latency_witness`` with pricing and the solvers' lazy latency
+separation.  That check reads a mask's held slot positions and compares
+their spacing with the need lengths of ``model.window_lengths``, in
+integers; the rate check compares the slot count with ceil(rate * f).
+The brute-force oracle checks stacks of masks with ``model.late_windows``
+instead, which counts every cyclic window.  The check that shares no code
+with ``tdmcfg`` at all is ``perfbench/checker.py``.  All comparisons are
+exact, never tolerance-based.
 """
 
 from __future__ import annotations
@@ -67,12 +72,12 @@ def client_feasible(
     if len(mask) != frame_size:
         raise ValueError("mask length does not match frame size")
     violations: list[Violation] = []
-    phi = sum(1 for b in mask if b)
-    if Fraction(phi, frame_size) < req.required_rate:
-        violations.append(
-            Violation(req.id, "rate", (phi, rate_slot_bound(req, frame_size)))
-        )
-    elif req.required_rate > 0:
+    phi = int(np.count_nonzero(mask))
+    # phi / f < rate exactly when phi < ceil(rate * f), both integers
+    need = rate_slot_bound(req, frame_size)
+    if phi < need:
+        violations.append(Violation(req.id, "rate", (phi, need)))
+    elif need > 0:  # a rate-0 client needs no service
         witness = latency_witness(mask, req.effective_latency(frame_size))
         if witness is not None:
             violations.append(Violation(req.id, "latency", witness))
@@ -102,7 +107,8 @@ def schedule_feasible(
 def _feasible_masks(req: ClientRequirement, frame_size: int) -> list[int]:
     """All feasible masks of one client, as slot bitmask ints, fewest slots first.
 
-    Masks are checked in stacked chunks of bounded size.
+    Masks are checked in stacked chunks of bounded size, every cyclic
+    window of each (``late_windows``).
     """
     f = frame_size
     lb = slot_lower_bound(req, f)

@@ -95,7 +95,7 @@ def test_cross_method_optimality():
     for _ in range(100):
         inst = random_instance(rng, max_clients=3, max_frame=12)
         _, bf_obj = brute_force_optimum(inst)
-        _, ilp_status, ilp_obj, _ = solve_direct(inst, time_limit=60)
+        _, ilp_status, ilp_obj, _ = solve_direct(inst, deadline=time.monotonic() + 60)
         results = [("ilp", ilp_status, ilp_obj)]
         for branching in ("sequential", "max_probability"):
             _, status, obj, _, _ = solve_bnp(
@@ -124,7 +124,7 @@ def test_case_study():
     )
     assert lower == Fraction(59, 64)
 
-    ilp_sched, ilp_status, ilp_obj, _ = solve_direct(inst, time_limit=60)
+    ilp_sched, ilp_status, ilp_obj, _ = solve_direct(inst, deadline=time.monotonic() + 60)
     assert ilp_status == MipStatus.OPTIMAL
     bnp_sched, bnp_status, bnp_obj, _, _ = solve_bnp(
         inst, BnpConfig(seed=0, time_limit=60)

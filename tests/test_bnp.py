@@ -470,7 +470,7 @@ def test_repeated_solves_in_one_process_agree(monkeypatch):
     # pricing keeps its sub-models between solves but never changes them,
     # and the LP handle is reset per model: a solve from built sub-models,
     # with another instance solved in between, gives the first answer again
-    monkeypatch.setattr(colgen, "_SUB_MODELS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(colgen, "_PRICING_MEMO", weakref.WeakKeyDictionary())
     ld = load_instance(CORPUS / "ld4-s7.json")
     hd_video = load_instance(Path(tdmcfg.__file__).parent / "data" / "hd-video.json")
     first, _, again = [solve_bnp(instance) for instance in (ld, hd_video, ld)]
@@ -483,7 +483,7 @@ def test_repeated_solves_in_one_process_agree(monkeypatch):
 def test_sub_models_live_as_long_as_their_clients(monkeypatch):
     # a second solve of the same instance builds no sub-model, and once the
     # instance is gone its clients' sub-models leave the memo
-    monkeypatch.setattr(colgen, "_SUB_MODELS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(colgen, "_PRICING_MEMO", weakref.WeakKeyDictionary())
     builds = [0]
     build = colgen.build_sub_model
 
@@ -495,10 +495,10 @@ def test_sub_models_live_as_long_as_their_clients(monkeypatch):
     instance = load_instance(CORPUS / "ld4-s7.json")
     solve_bnp(instance)
     first = builds[0]
-    assert first > 0 and len(colgen._SUB_MODELS) > 0
+    assert first > 0 and len(colgen._PRICING_MEMO) > 0
     solve_bnp(instance)
     assert builds[0] == first
     gone = weakref.ref(instance)
     del instance
     gc.collect()
-    assert gone() is None and len(colgen._SUB_MODELS) == 0
+    assert gone() is None and len(colgen._PRICING_MEMO) == 0

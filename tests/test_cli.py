@@ -69,6 +69,31 @@ def test_solve_heuristic_passes_time_limit(monkeypatch, capsys, golden_path):
     assert deadlines and all(start + 30 <= d <= end + 30 for d in deadlines)
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_ilp_gets_the_time_limit_as_one_deadline(monkeypatch, tmp_path, golden_path, command):
+    # --time-limit becomes a deadline once, before the ILP builds its model
+    deadlines = []
+    solve_direct = cli.solve_direct
+
+    def recording(instance, decisions=(), deadline=float("inf"), **kwargs):
+        assert not kwargs
+        deadlines.append(deadline)
+        return solve_direct(instance, decisions, deadline)
+
+    monkeypatch.setattr(cli, "solve_direct", recording)
+    if command == "solve":
+        argv = ["solve", str(golden_path), "--method", "ilp", "--time-limit", "30"]
+    else:
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"instance\n{golden_path.name}\n")
+        argv = ["bench", str(manifest), "--methods", "ilp", "--time-limit", "30",
+                "--out", str(tmp_path / "bench.csv")]
+    start = time.monotonic()
+    assert main(argv) == 0
+    end = time.monotonic()
+    assert len(deadlines) == 1 and start + 30 <= deadlines[0] <= end + 30
+
+
 def test_solve_infeasible_exit_code(tmp_path):
     from fractions import Fraction
 

@@ -420,14 +420,17 @@ def test_master_holds_only_admissible_columns(golden_instance, golden_seed_colum
 def _price_fresh(*args, **kwargs):
     """``price_client`` with every sub-model built anew, outside the memo."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(colgen, "_sub_model", colgen.build_sub_model)
+        mp.setattr(colgen, "_PRICING_MEMO", weakref.WeakKeyDictionary())
         return price_client(*args, **kwargs)
 
 
 def _memo_keys(clients) -> set:
     """The (client, f, t) the memo holds for the given clients."""
     return {
-        (client, f, t) for client in clients for f, t in colgen._SUB_MODELS.get(client, {})
+        (client, f, t)
+        for client in clients
+        for f, memo in colgen._PRICING_MEMO.get(client, {}).items()
+        for t in memo.models
     }
 
 
@@ -438,7 +441,7 @@ def test_shared_sub_models_price_like_fresh_ones(monkeypatch):
     # priced under, and pricing leaves a cached model as it was built
     from conftest import random_instance
 
-    monkeypatch.setattr(colgen, "_SUB_MODELS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(colgen, "_PRICING_MEMO", weakref.WeakKeyDictionary())
     shared_run = [False]
     built = []  # the shared run's build keys
     lps = []  # the shared run's LPs: (its sub-model's matrix, slot box bounds)
@@ -494,7 +497,7 @@ def test_shared_sub_models_price_like_fresh_ones(monkeypatch):
     memo = _memo_keys(clients)
     assert priced > 100 and len(built) == len(set(built)) == len(memo) > 10
     assert set(built) == memo
-    cached = {key: colgen._SUB_MODELS[key[0]][key[1:]] for key in memo}
+    cached = {(c, f, t): colgen._PRICING_MEMO[c][f].models[t] for c, f, t in memo}
     # several decision sets reached the LP of one sub-model
     assert {a for a, _ in lps} == {id(m.A) for m in cached.values()}
     assert len(set(lps)) > len(memo)
@@ -509,7 +512,7 @@ def test_equal_clients_of_other_frame_sizes_share_no_sub_model(monkeypatch):
     # the memo prices the same client in instances of two frame sizes; its
     # key holds f, so each size gets its own sub-models and every answer is
     # bitwise the answer priced from freshly built ones
-    monkeypatch.setattr(colgen, "_SUB_MODELS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(colgen, "_PRICING_MEMO", weakref.WeakKeyDictionary())
     client = ClientRequirement(1, "c1", Fraction(1, 4), Fraction(3))
     lps = []
     solve = colgen.solve_lp
@@ -523,5 +526,48 @@ def test_equal_clients_of_other_frame_sizes_share_no_sub_model(monkeypatch):
             assert np.array_equal(shared[0], fresh[0]) and shared[1] == fresh[1]
     assert lps  # the cheapest slots alone break the latency bound
     assert {f for _, f, _ in _memo_keys([client])} == {8, 12}
-    for (f, _), m in colgen._SUB_MODELS[client].items():
-        assert len(m.c) == f + 1
+    for _, f, t in _memo_keys([client]):
+        assert len(colgen._PRICING_MEMO[client][f].models[t].c) == f + 1
+
+
+def test_price_client_looks_up_its_memo_once_per_call(monkeypatch):
+    # one memo lookup per call gives the slot lower bound and the
+    # sub-models; the bound is computed once per (client, f)
+    class CountingMemo(weakref.WeakKeyDictionary):
+        lookups = 0
+
+        def setdefault(self, key, default=None):
+            CountingMemo.lookups += 1
+            return super().setdefault(key, default)
+
+        def get(self, key, default=None):
+            CountingMemo.lookups += 1
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            CountingMemo.lookups += 1
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(colgen, "_PRICING_MEMO", CountingMemo())
+    bounds = []
+    lower_bound = colgen.slot_lower_bound
+    monkeypatch.setattr(
+        colgen, "slot_lower_bound", lambda c, f: bounds.append((c.id, f)) or lower_bound(c, f)
+    )
+    lps = []
+    solve = colgen.solve_lp
+    monkeypatch.setattr(colgen, "solve_lp", lambda m, **kw: lps.append(m) or solve(m, **kw))
+    rng = np.random.default_rng(5)
+    clients = [
+        ClientRequirement(1, "c1", Fraction(1, 4), Fraction(3)),
+        ClientRequirement(2, "c2", Fraction(1, 3), Fraction(2)),
+    ]
+    calls = 0
+    for f in (12, 8, 12):
+        for client in clients:
+            for decisions in ((), ((client.id, 2, True),)):
+                price_client(client, rng.uniform(0.0, 1.0, f), f, decisions)
+                calls += 1
+    assert lps  # the sub-models were reached too
+    assert CountingMemo.lookups == calls
+    assert sorted(bounds) == [(1, 8), (1, 12), (2, 8), (2, 12)]

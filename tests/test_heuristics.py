@@ -122,7 +122,7 @@ def _best_of_runs_status(instance, **kwargs):
 
 
 @pytest.mark.parametrize("solve", [
-    lambda inst: solve_direct(inst, time_limit=0)[:2],
+    lambda inst: solve_direct(inst, deadline=time.monotonic())[:2],
     lambda inst: solve_bnp(inst, BnpConfig(time_limit=0))[:2],
     lambda inst: _best_of_runs_status(inst, time_limit=0),
     lambda inst: generative(inst, deadline=time.monotonic()),

@@ -173,10 +173,15 @@ def test_solve_direct_counts_model_build_against_time_limit(
         return build_ilp(instance, decisions)
 
     monkeypatch.setattr(ilp, "build_ilp", slow_build)
+    schedule, status, objective, _ = solve_direct(
+        golden_instance, deadline=time.monotonic() + 0.2
+    )
+    assert (schedule, status, objective) == (None, MipStatus.TIMED_OUT, None)
+    _, status, objective, _ = solve_direct(golden_instance, deadline=time.monotonic() + 30)
+    assert (status, objective) == (MipStatus.OPTIMAL, Fraction(4, 5))
+    # the benchmark's form, a limit in seconds from the call, ends it alike
     schedule, status, objective, _ = solve_direct(golden_instance, time_limit=0.2)
     assert (schedule, status, objective) == (None, MipStatus.TIMED_OUT, None)
-    _, status, objective, _ = solve_direct(golden_instance, time_limit=30)
-    assert (status, objective) == (MipStatus.OPTIMAL, Fraction(4, 5))
 
 
 def test_solve_direct_time_limit_covers_highs_setup():
@@ -185,7 +190,7 @@ def test_solve_direct_time_limit_covers_highs_setup():
     instance = generate(GenSpec.default("MD", 8, seed=0))
     assert build_ilp(instance).A.shape[0] < 5000
     t0 = time.monotonic()
-    schedule, status, _, _ = solve_direct(instance, time_limit=1.0)
+    schedule, status, _, _ = solve_direct(instance, deadline=t0 + 1.0)
     assert time.monotonic() - t0 < 1.5
     assert (schedule, status) == (None, MipStatus.TIMED_OUT)
 

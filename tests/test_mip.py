@@ -209,7 +209,7 @@ def test_highs_binding_has_every_method_mip_calls():
 
     for name in (
         "passModel", "changeColsBounds", "addRow", "run", "getRunTime",
-        "getModelStatus", "getSolution", "getInfo", "setOptionValue",
+        "getModelStatus", "getSolution", "getObjectiveValue", "setOptionValue",
     ):
         assert callable(getattr(_Highs, name, None)), name
 

@@ -1,5 +1,6 @@
 """Core model: service curves, exact latency, bounds, dominance."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,11 +19,14 @@ from tdmcfg.model import (
     UnknownClientError,
     allocated_rate,
     dominance_class,
+    late_windows,
+    latency_witness,
     mask_bounds,
     mask_service_latency,
     service_latency,
     slot_lower_bound,
 )
+from tdmcfg.verify import Violation, client_feasible
 
 from conftest import (
     LrCharacterization,
@@ -210,3 +214,103 @@ def test_mask_bounds_matches_decision_loops():
                 pool.admissible(c, decisions), np.reshape(expected, (-1, f))
             )
     assert 30 <= conflicts <= 270
+
+
+# the mask forms callers pass: tuples, lists and integer, float and bool arrays
+MASK_FORMS = (
+    tuple, list, np.array,
+    lambda m: np.array(m, dtype=float), lambda m: np.array(m, dtype=bool),
+)
+
+
+def first_late_windows(masks: np.ndarray, theta) -> list:
+    """Each mask's first late window (k, j) in j-major, k-minor order, or
+    None, read off ``late_windows`` (every cyclic window of every mask)."""
+    f = masks.shape[1]
+    late = late_windows(masks, theta).reshape(len(masks), f * f)
+    out = []
+    for row, first in zip(late, late.argmax(axis=1).tolist()):
+        j, k = divmod(first, f)
+        out.append((k + 1, j + 1) if row[first] else None)
+    return out
+
+
+def test_latency_witness_matches_late_windows_on_every_small_mask():
+    # every mask of f <= 10 slots over latencies 0, 1/3, 1/2, 2/3, 1, ...,
+    # f: latency_witness decides at the need lengths only, yet gives the
+    # witness the f x f windows give, for every mask form
+    cases = late = tight = 0
+    for f in range(1, 11):
+        masks = (np.arange(1 << f)[:, None] >> np.arange(f)) & 1
+        phi = masks.sum(axis=1)
+        thetas = sorted({Fraction(a, d) for d in (1, 2, 3) for a in range(f * d + 1)})
+        for i, theta in enumerate(thetas):
+            expected = first_late_windows(masks, theta)
+            for m, (mask, want) in enumerate(zip(masks.tolist(), expected)):
+                form = MASK_FORMS[(m + i) % len(MASK_FORMS)]
+                assert latency_witness(form(mask), theta) == want, (mask, theta)
+                cases += 1
+                late += want is not None
+                # below f / phi - 1 even an equidistant mask is late
+                tight += phi[m] > 0 and theta < Fraction(f, int(phi[m])) - 1
+    assert cases > 40_000 and 0.2 < late / cases < 0.6 and tight > 1000
+
+
+def test_mask_service_latency_is_the_least_latency_without_late_windows():
+    # every nonempty mask of f <= 10 slots: no window is late at the
+    # latency, and one is just below it
+    for f in range(1, 11):
+        for bits in range(1, 1 << f):
+            mask = [(bits >> s) & 1 for s in range(f)]
+            theta = mask_service_latency(mask)
+            assert theta >= 0 and not late_windows(mask, theta).any(), mask
+            below = theta - Fraction(1, 2 * sum(mask))
+            assert late_windows(mask, below).any(), mask
+
+
+def test_latency_witness_matches_late_windows_on_large_random_masks():
+    rng = np.random.default_rng(26)
+    late = 0
+    for f in (64, 128):
+        for _ in range(40):
+            masks = (rng.random((25, f)) < rng.uniform(0.02, 0.6)).astype(int)
+            theta = Fraction(int(rng.integers(0, 2 * f)), int(rng.integers(1, 4)))
+            expected = first_late_windows(masks, theta)
+            for m, (mask, want) in enumerate(zip(masks.tolist(), expected)):
+                form = MASK_FORMS[m % len(MASK_FORMS)]
+                assert latency_witness(form(mask), theta) == want, (mask, theta)
+                late += want is not None
+    assert 200 < late < 1800
+
+
+def reference_client_feasible(mask, req: ClientRequirement, f: int):
+    """(feasible, violations, objective) of a mask, with the rate compared
+    in Fractions and the latency read off ``late_windows``."""
+    phi = int(np.asarray(mask, dtype=int).sum())
+    violations = []
+    if Fraction(phi, f) < req.required_rate:
+        violations.append(Violation(req.id, "rate", (phi, math.ceil(req.required_rate * f))))
+    elif req.required_rate > 0:
+        witness = first_late_windows(np.array([mask], dtype=int), req.effective_latency(f))[0]
+        if witness is not None:
+            violations.append(Violation(req.id, "latency", witness))
+    return not violations, violations, Fraction(phi, f)
+
+
+def test_client_feasible_matches_late_windows_reference():
+    rng = random.Random(26)
+    kinds = set()
+    for case in range(3000):
+        f = rng.choice([rng.randint(1, 12), 64, 128])
+        rate = Fraction(rng.randint(0, f), f * rng.choice([1, 2, 3]))
+        latency = None if case % 4 == 0 else Fraction(rng.randint(0, 2 * f), rng.choice([1, 2, 3]))
+        req = ClientRequirement(7, "c", rate, latency)
+        density = rng.random()
+        mask = [int(rng.random() < density) for _ in range(f)]
+        report = client_feasible(MASK_FORMS[case % len(MASK_FORMS)](mask), req, f)
+        feasible, violations, objective = reference_client_feasible(mask, req, f)
+        assert (report.feasible, report.violations, report.objective) == (
+            feasible, violations, objective), (mask, req)
+        kinds.update(v.kind for v in violations)
+        kinds.add("feasible" if feasible else "infeasible")
+    assert kinds == {"rate", "latency", "feasible", "infeasible"}
