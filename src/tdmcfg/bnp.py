@@ -36,6 +36,7 @@ from .verify import schedule_feasible
 
 SEQUENTIAL = "sequential"
 MAX_PROBABILITY = "max_probability"
+BRANCHING_RULES = (MAX_PROBABILITY, SEQUENTIAL)
 
 # §-style completion thresholds by client count: fraction of f in Allocate
 # decisions, and in Forbid decisions (the latter may exceed 1: a slot can
@@ -60,12 +61,14 @@ class BnpNode:
 
 @dataclass
 class BnpConfig:
-    branching: str = "auto"  # "auto" | "sequential" | "max_probability"
+    branching: str = MAX_PROBABILITY
     time_limit: Optional[float] = None  # seconds for the whole call
     heuristic_runs: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self):
+        if self.branching not in BRANCHING_RULES:
+            raise ValueError(f"branching must be one of {BRANCHING_RULES}, not {self.branching!r}")
         if self.heuristic_runs is not None and self.heuristic_runs < 0:
             raise ValueError(f"heuristic_runs must be at least 0, not {self.heuristic_runs}")
         if self.time_limit is not None and not self.time_limit >= 0:  # NaN fails too
@@ -233,9 +236,6 @@ def solve_bnp(
     if total_lb > f:
         return result()
 
-    branching = config.branching
-    if branching == "auto":
-        branching = SEQUENTIAL if n <= 16 else MAX_PROBABILITY
     pos_pct, neg_pct = default_completion_thresholds(n)
 
     pool = ColumnPool()
@@ -247,9 +247,7 @@ def solve_bnp(
     def warm_start(runs: int, seed: int, floor: int) -> None:
         """Generative runs: every schedule found seeds columns, the best one
         becomes the incumbent if it beats it."""
-        best, found = best_of_runs(
-            instance, runs, seed, warm_deadline - time.monotonic(), floor=floor
-        )
+        best, found = best_of_runs(instance, runs, seed, warm_deadline, floor=floor)
         for schedule in found:
             add_columns(schedule)
         if best is not None:
@@ -365,7 +363,7 @@ def solve_bnp(
                 break
             continue
         try:
-            if branching == SEQUENTIAL:
+            if config.branching == SEQUENTIAL:
                 first, second = branch_sequential(node, instance)
             else:
                 first, second = branch_max_probability(node, master, instance)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import serialize
-from .bnp import BnpConfig, solve_bnp
+from .bnp import BRANCHING_RULES, MAX_PROBABILITY, BnpConfig, solve_bnp
 from .heuristics import best_of_runs, continuous_allocation
 from .ilp import solve_direct
 from .model import ProblemInstance, Schedule, allocated_rate, latency_slot_bound, service_latency
@@ -43,15 +43,17 @@ def run_method(
     method: str,
     time_limit: Optional[float] = None,
     seed: int = 0,
-    branching: str = "auto",
+    branching: str = MAX_PROBABILITY,
     heuristic_runs: Optional[int] = None,
 ) -> tuple[Optional[Schedule], str, Optional[Fraction], float, dict]:
     """Dispatch one solve; returns (schedule, status, objective, bound, stats).
 
     ``time_limit`` (seconds) starts at this call.
     """
+    if time_limit is not None and not time_limit >= 0:  # NaN fails too
+        raise ValueError(f"time_limit must be at least 0 seconds, not {time_limit}")
+    deadline = time.monotonic() + (math.inf if time_limit is None else time_limit)
     if method == "ilp":
-        deadline = time.monotonic() + (math.inf if time_limit is None else time_limit)
         schedule, status, objective, bound = solve_direct(instance, deadline=deadline)
         return schedule, status.value, objective, bound, {}
     if method == "bnp":
@@ -65,7 +67,7 @@ def run_method(
         return schedule, status.value, objective, bound, stats.as_dict()
     if method == "heuristic":
         runs = 1 if heuristic_runs is None else heuristic_runs
-        best, _ = best_of_runs(instance, runs, seed, time_limit)
+        best, _ = best_of_runs(instance, runs, seed, deadline)
         if best is None:
             return None, "no_feasible", None, -math.inf, {}
         return best, "feasible", _phi(best, instance), -math.inf, {}
@@ -356,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument(
         "--branching",
-        choices=["auto", "sequential", "max_probability"],
-        default="auto",
+        choices=BRANCHING_RULES,
+        default=MAX_PROBABILITY,
     )
     solve.add_argument("--heuristic-runs", type=count, default=None)
     solve.add_argument("--out", default=None, help="result JSON path (default stdout)")

@@ -117,7 +117,7 @@ def best_of_runs(
     instance: ProblemInstance,
     runs: int,
     seed: int = 0,
-    time_limit: Optional[float] = None,
+    deadline: float = math.inf,
     *,
     floor: Optional[int] = None,
 ) -> tuple[Optional[Schedule], list[Schedule]]:
@@ -125,12 +125,11 @@ def best_of_runs(
     the schedule with the fewest slots (the first on ties) and every feasible
     schedule in run order.  Stops at a schedule of at most ``floor`` slots,
     a lower bound on every schedule (the slot-bound sum by default).
-    ``time_limit`` (seconds) covers all runs; a run begun after it ends at once.
+    ``deadline`` (``time.monotonic()``) covers all runs; a run begun after it ends at once.
     """
     if runs < 0:
         raise ValueError(f"runs must be at least 0, not {runs}")
     floor = slot_bound_sum(instance) if floor is None else floor
-    deadline = time.monotonic() + (math.inf if time_limit is None else time_limit)
     best: Optional[Schedule] = None
     found: list[Schedule] = []
     for k in range(runs):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import time
 from pathlib import Path
 
@@ -126,6 +127,7 @@ def test_solve_missing_file_exit_code(tmp_path):
     (["--time-limit", "-1"], 1),
     (["--method", "heuristic", "--time-limit", "nan"], 1),
     (["bench", "manifest.csv", "--time-limit", "-1"], 1),
+    (["--branching", "auto"], 1),
 ])
 def test_bad_arguments_exit_1(capsys, golden_path, args, code):
     # exit code 2 means "infeasible", so argparse's own 2 must not show;
@@ -137,6 +139,16 @@ def test_bad_arguments_exit_1(capsys, golden_path, args, code):
     assert exc.value.code == code
     out = capsys.readouterr()
     assert ("error:" in out.err) == (code == 1)
+
+
+@pytest.mark.parametrize("limit", [math.nan, -1.0])
+@pytest.mark.parametrize("method", ["ilp", "bnp", "heuristic", "continuous"])
+def test_run_method_refuses_bad_time_limits(monkeypatch, golden_instance, method, limit):
+    # refused before any solve starts, whatever the method
+    for solver in ("solve_direct", "solve_bnp", "best_of_runs", "continuous_allocation"):
+        monkeypatch.setattr(cli, solver, lambda *a, **k: pytest.fail("a solve started"))
+    with pytest.raises(ValueError, match="at least 0"):
+        cli.run_method(golden_instance, method, time_limit=limit)
 
 
 def test_time_limit_may_be_zero_or_inf():

@@ -124,7 +124,7 @@ def _best_of_runs_status(instance, **kwargs):
 @pytest.mark.parametrize("solve", [
     lambda inst: solve_direct(inst, deadline=time.monotonic())[:2],
     lambda inst: solve_bnp(inst, BnpConfig(time_limit=0))[:2],
-    lambda inst: _best_of_runs_status(inst, time_limit=0),
+    lambda inst: _best_of_runs_status(inst, deadline=time.monotonic()),
     lambda inst: generative(inst, deadline=time.monotonic()),
 ], ids=["solve_direct", "solve_bnp", "best_of_runs", "generative"])
 def test_zero_budget_returns_no_schedule(golden_instance, solve):
