@@ -187,19 +187,17 @@ def solve_bnp(
 ) -> tuple[Optional[Schedule], MipStatus, Optional[Fraction], float, BnpStats]:
     """Branch-and-price search for the minimal-allocation schedule.
 
-    In order: the formula check (a slot-bound sum above f is infeasible);
-    the first run of the generative heuristic, which ends the solve if it
-    meets the slot-bound sum; the exact floor, the sum of each client's
-    fewest slots (``fewest_slot_masks``; the slot-bound sum if the deadline
-    passes first), which ends the solve if it exceeds f or the run meets
-    it; and the root, seeded with every rotation of each client's
-    fewest-slot mask, so that its master starts at the floor.  The warm
-    start's runs share one budget, a third of the time limit.  A warm start
-    of at most one run (the default when every client is
-    bandwidth-dominated) that found nothing is followed, before the root,
-    by the monolithic ILP for a third of the time left.  In a longer one
-    (eight runs by default) the other runs follow the root only if it
-    branches, stopped at its bound.  Depth-first search follows.
+    In order: the floor, the sum of each client's fewest slots
+    (``slot_bound_sum``), which ends the solve as infeasible above f; the
+    first run of the generative heuristic, which ends it as optimal if it
+    meets the floor; and the root, seeded with every rotation of each
+    client's fewest-slot mask (``fewest_slot_masks``), so that its master
+    starts at the floor.  The warm start's runs share one budget, a third
+    of the time limit.  A warm start of at most one run (the default when
+    every client is bandwidth-dominated) that found nothing is followed,
+    before the root, by the monolithic ILP for a third of the time left.
+    In a longer one (eight runs by default) the other runs follow the root
+    only if it branches, stopped at its bound.  Depth-first search follows.
     """
     config = config or BnpConfig()
     stats = BnpStats()
@@ -232,8 +230,8 @@ def solve_bnp(
             return None, MipStatus.INFEASIBLE, None, math.inf, stats
         return incumbent, MipStatus.OPTIMAL, phi, float(phi), stats
 
-    total_lb = slot_bound_sum(instance)
-    if total_lb > f:
+    floor = slot_bound_sum(instance)
+    if floor > f:
         return result()
 
     pos_pct, neg_pct = default_completion_thresholds(n)
@@ -255,22 +253,16 @@ def solve_bnp(
         improve(best)
 
     runs = _heuristic_runs(instance, config)
-    warm_start(min(runs, 1), config.seed, total_lb)
-    if best_slots <= total_lb:
-        # the incumbent meets the sum of per-client slot lower bounds
+    warm_start(min(runs, 1), config.seed, floor)
+    if best_slots <= floor:
         return result()
-    # the exact floor, each client's fewest slots; the formula sum stands in
-    # when the deadline passes first
+    # every rotation of each fewest-slot mask: the root master starts with a
+    # mix that loads every slot by floor / f, its bound with nothing decided;
+    # when the deadline passes first, the root is seeded with nothing
     try:
         masks = fewest_slot_masks(instance, deadline)
     except LpTimeoutError:
         masks = []
-    floor = sum(int(mask.sum()) for mask in masks) if masks else total_lb
-    if floor > f or best_slots <= floor:
-        # no schedule fits in the frame, or the incumbent meets the floor
-        return result()
-    # every rotation of each fewest-slot mask: the root master starts with a
-    # mix that loads every slot by floor / f, its bound with nothing decided
     for client, mask in zip(instance.clients, masks):
         for k in range(f):
             pool.add(client.id, np.roll(mask, k))

@@ -356,9 +356,8 @@ def fewest_slot_masks(
     """Each client's feasible mask with the fewest slots, by client position.
 
     Pricing at zero slot prices with no decisions is exact, so the mask of
-    client c holds t_c slots, the fewest of any feasible mask of c, and
-    the sum of the t_c bounds every schedule's slot count from below; it
-    is never below ``slot_bound_sum``.  A mask's rotations are
+    client c holds t_c slots (``slot_lower_bound``).  Branch and price
+    seeds its root with these masks and their rotations, which are
     feasible too, because latency windows are cyclic.  Raises
     NodeInfeasibleError when some client has no feasible mask, and
     LpTimeoutError when ``deadline`` passes first.
@@ -423,7 +422,7 @@ def column_generation(
     bounds the node's LP optimum from above.  A bound that rounds up to
     fewer slots than the incumbent prunes nothing and does not end it.  Past
     ``deadline`` the loop returns "timed_out" with the best bound it has:
-    the best Lagrangian value, or the slot-bound sum if that is higher.
+    the best Lagrangian value, or ``slot_bound_sum`` over f if higher.
     ``trace`` receives one (iteration, master objective,
     {client id: reduced cost}) per iteration.
     """

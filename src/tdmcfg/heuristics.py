@@ -16,8 +16,8 @@ that minimises the tie-break; every one that did not had solved an LP.
 A run gives up once STALL_ROUNDS rounds of
 calls leave every mask as it was.  ``best_of_runs`` repeats it with new
 seeds and stops at a schedule that meets a floor no schedule can beat: the
-sum of the slot lower bounds by default, or a stronger bound the caller
-proved (branch-and-price passes its root node's bound).
+sum of each client's fewest slots by default, or a stronger bound the
+caller proved (branch-and-price passes its root node's bound).
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def best_of_runs(
     """Up to ``runs`` generative runs with seeds ``seed``, ``seed + 1``, ...;
     the schedule with the fewest slots (the first on ties) and every feasible
     schedule in run order.  Stops at a schedule of at most ``floor`` slots,
-    a lower bound on every schedule (the slot-bound sum by default).
+    a lower bound on every schedule (``slot_bound_sum`` by default).
     ``deadline`` (``time.monotonic()``) covers all runs; a run begun after it ends at once.
     """
     if runs < 0:
@@ -147,7 +147,7 @@ def best_of_runs(
 def continuous_allocation(
     instance: ProblemInstance,
 ) -> tuple[Optional[Schedule], str]:
-    """Baseline: one contiguous block of minimum size per client, back to back."""
+    """Baseline: one contiguous block of t_c slots per client, back to back."""
     f = instance.frame_size
     ordered = sorted(
         instance.clients, key=lambda c: (c.effective_latency(f), c.id)

@@ -72,9 +72,9 @@ def strengthened_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integer-strengthened window rows implied by the latency condition.
 
-    Any feasible mask with phi >= lb slots satisfies, for every window,
-    wc(k, j) >= phi * (j - latency) / f >= lb * (j - latency) / f, hence
-    wc(k, j) >= ceil(lb * (j - latency) / f).  Rows are emitted at the
+    Any feasible mask has phi >= lb = ``slot_lower_bound`` slots, so for
+    every window wc(k, j) >= phi * (j - latency) / f >= lb * (j - latency)
+    / f, hence wc(k, j) >= ceil(lb * (j - latency) / f).  Rows are at the
     shortest window length of each need r (``window_lengths``); they are
     redundant with the exact rows but give the LP relaxation integral
     strength.  The whole frame needs no row: the slot-bound row holds it.

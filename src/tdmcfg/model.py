@@ -125,25 +125,34 @@ def rate_slot_bound(req: ClientRequirement, frame_size: int) -> int:
 
 
 def latency_slot_bound(req: ClientRequirement, frame_size: int) -> int:
-    """Slots needed for the latency requirement alone: ceil(f / (latency + 1)).
-
-    Assumes an equidistant allocation, which minimizes the slot count
-    needed to reach a given latency.
-    """
+    """The paper's latency slot count, ceil(f / (latency + 1)): a lower bound
+    on ``slot_lower_bound``, which equidistant slots do not reach in general."""
     theta = req.effective_latency(frame_size)
     return math.ceil(Fraction(frame_size) / (theta + 1))
 
 
 def slot_lower_bound(req: ClientRequirement, frame_size: int) -> int:
-    """Lower bound on the number of slots any feasible schedule allocates."""
+    """t_c, the fewest slots of any mask that meets the client's requirements.
+
+    A mask of phi of f slots has latency at least (f - g) / phi, g = gcd(f,
+    phi): with d_m = phi * p_m - m * f as in ``latency_witness``, the d_m
+    are multiples of g and d_m = -m * f modulo phi, so they meet all phi / g
+    multiples of g modulo phi and span at least phi - g; slots p_m = floor(m
+    * f / phi) span exactly that.  So t_c is the least phi, counting up from
+    the rate's and the paper's slot counts, with latency * phi >= f - g;
+    phi = f always passes.  A zero-rate client needs no slot.
+    """
     if req.required_rate == 0:
-        # a zero-rate client needs no service at all
         return 0
-    return max(rate_slot_bound(req, frame_size), latency_slot_bound(req, frame_size))
+    theta = req.effective_latency(frame_size)
+    phi = max(rate_slot_bound(req, frame_size), latency_slot_bound(req, frame_size))
+    while theta.denominator * (frame_size - math.gcd(frame_size, phi)) > theta.numerator * phi:
+        phi += 1
+    return phi
 
 
 def slot_bound_sum(instance: ProblemInstance) -> int:
-    """Sum of the per-client slot lower bounds: no schedule allocates fewer."""
+    """Sum of each client's fewest slots t_c: no schedule allocates fewer."""
     return sum(slot_lower_bound(c, instance.frame_size) for c in instance.clients)
 
 
@@ -167,7 +176,7 @@ def window_lengths(theta: Fraction, frame_size: int, t: int) -> list[int]:
 
 
 def dominance_class(req: ClientRequirement, frame_size: int) -> DominanceClass:
-    """Classify which term of the slot lower bound is binding."""
+    """Classify which of the paper's slot counts, rate or latency, is binding."""
     lat = latency_slot_bound(req, frame_size)
     bw = rate_slot_bound(req, frame_size)
     if lat > bw:

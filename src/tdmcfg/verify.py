@@ -27,7 +27,6 @@ from .model import (
     late_windows,
     latency_witness,
     rate_slot_bound,
-    slot_lower_bound,
 )
 
 
@@ -107,11 +106,11 @@ def schedule_feasible(
 def _feasible_masks(req: ClientRequirement, frame_size: int) -> list[int]:
     """All feasible masks of one client, as slot bitmask ints, fewest slots first.
 
-    Masks are checked in stacked chunks of bounded size, every cyclic
-    window of each (``late_windows``).
+    Masks are checked in stacked chunks of bounded size: the rate by slot
+    count, the latency at every cyclic window of each (``late_windows``).
     """
     f = frame_size
-    lb = slot_lower_bound(req, f)
+    lb = rate_slot_bound(req, f)
     theta = req.effective_latency(f)
     chunk = max(1, 2**18 // (f * f))
     out: list[int] = []

@@ -21,6 +21,8 @@ from tdmcfg.model import (
     _as_fraction,
     allocated_rate,
     late_windows,
+    latency_slot_bound,
+    rate_slot_bound,
     service_latency,
     slot_lower_bound,
 )
@@ -199,6 +201,14 @@ def compute_coefficients(
 def window_slots(frame_size: int, k: int, j: int) -> list[int]:
     """1-based slots of the cyclic window of duration j starting at k."""
     return [(k - 1 + off) % frame_size + 1 for off in range(j)]
+
+
+def formula_slots(client: ClientRequirement, frame_size: int) -> int:
+    """The paper's slot count, max(ceil(rate * f), ceil(f / (theta + 1))),
+    0 for a rate-0 client: a lower bound on ``slot_lower_bound``."""
+    if client.required_rate == 0:
+        return 0
+    return max(rate_slot_bound(client, frame_size), latency_slot_bound(client, frame_size))
 
 
 def strengthened_windows(client: ClientRequirement, frame_size: int) -> list[tuple[int, int]]:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import tdmcfg
-from tdmcfg import bnp, colgen, heuristics
+from tdmcfg import bnp, colgen, heuristics, mip
 from tdmcfg.bnp import (
     BnpConfig,
     BnpNode,
@@ -26,13 +26,14 @@ from tdmcfg.bnp import (
     solve_bnp,
 )
 from tdmcfg.colgen import ColGenResult, MasterSolution
+from tdmcfg.ilp import solve_direct
 from tdmcfg.mip import MipStatus
 from tdmcfg.model import ClientRequirement, ProblemInstance, slot_bound_sum
 from tdmcfg.serialize import load_instance
 from tdmcfg.usecase import GenSpec, generate
 from tdmcfg.verify import brute_force_optimum, schedule_feasible
 
-from conftest import random_instance
+from conftest import formula_slots, random_instance
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "bnp-tree"
 
@@ -138,21 +139,36 @@ def test_solve_bnp_matches_brute_force_on_small_instances():
             assert objective == bf_obj
 
 
-def test_exact_floor_ends_the_solve_before_the_root():
+def _formula_sum(instance: ProblemInstance) -> int:
+    return sum(formula_slots(c, instance.frame_size) for c in instance.clients)
+
+
+def test_exact_floor_ends_the_solve_before_the_root(monkeypatch):
     # LD n = 8 seed 2: each client's fewest slots sum to 67 > 64, so no
-    # schedule exists, and neither the root nor the ILP is tried
+    # schedule exists, and neither the heuristic, the root nor the ILP is
+    # tried: no HiGHS run at all, in branch and price and in the ILP
     instance = generate(GenSpec.default("LD", 8, seed=2))
     assert sum(mask.sum() for mask in colgen.fewest_slot_masks(instance)) == 67
-    schedule, status, _, bound, stats = solve_bnp(instance)
-    assert (schedule, status, bound) == (None, MipStatus.INFEASIBLE, math.inf)
-    assert (stats.nodes_opened, stats.completions) == (0, 0)
+    assert slot_bound_sum(instance) == 67
+    assert _formula_sum(instance) == 60
+
+    def no_highs(highs, deadline):
+        raise AssertionError("HiGHS ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mip, "linprog", no_highs)
+        schedule, status, _, bound, stats = solve_bnp(instance)
+        assert (schedule, status, bound) == (None, MipStatus.INFEASIBLE, math.inf)
+        assert (stats.nodes_opened, stats.completions) == (0, 0)
+        assert solve_direct(instance) == (None, MipStatus.INFEASIBLE, None, math.inf)
     # MD n = 8 seeds 2 and 4: run 1 meets the floor, one slot above the
-    # slot-bound sum, so its schedule is optimal with no node opened
+    # paper's formula, so its schedule is optimal with no node opened
     for seed, slots in ((2, 52), (4, 51)):
         instance = generate(GenSpec.default("MD", 8, seed=seed))
         schedule, status, objective, bound, stats = solve_bnp(instance)
         assert (status, objective) == (MipStatus.OPTIMAL, Fraction(slots, 64))
-        assert slot_bound_sum(instance) == slots - 1
+        assert slot_bound_sum(instance) == slots
+        assert _formula_sum(instance) == slots - 1
         assert (stats.nodes_opened, stats.completions) == (0, 0)
         assert schedule_feasible(schedule, instance).feasible
 
@@ -319,8 +335,8 @@ def test_solve_bnp_seed_pricing_obeys_time_limit():
 
 
 @pytest.mark.parametrize("klass, seed, runs", [
-    ("MD", 10, None), ("LD", 1, None), ("MD", 10, 1), ("LD", 1, 1),
-], ids=["MD8-s10", "LD8-s1", "MD8-s10-one-run", "LD8-s1-one-run"])
+    ("MD", 10, None), ("LD", 1, None), ("MD", 1, 1), ("LD", 1, 1),
+], ids=["MD8-s10", "LD8-s1", "MD8-s1-one-run", "LD8-s1-one-run"])
 def test_solve_bnp_root_completion_lp_obeys_time_limit(klass, seed, runs):
     # the heuristic fails here.  With one warm-start run the root ILP slice
     # runs HiGHS LPs on the whole instance for a third of the time left; by

@@ -24,7 +24,9 @@ from tdmcfg.colgen import (
 from tdmcfg.heuristics import allocated_slots, best_of_runs
 from tdmcfg.ilp import find_latency_violation
 from tdmcfg.mip import LpSolution, LpStatus
-from tdmcfg.model import ClientRequirement, ProblemInstance, latency_witness, slot_bound_sum
+from tdmcfg.model import (
+    ClientRequirement, ProblemInstance, latency_witness, slot_bound_sum, slot_lower_bound,
+)
 from tdmcfg.serialize import load_instance
 from tdmcfg.usecase import GenSpec, generate
 from tdmcfg.verify import _feasible_masks, client_feasible
@@ -269,9 +271,23 @@ def test_fewest_slot_masks_match_brute_force():
         instance = ProblemInstance(f, (client,))
         (mask,) = fewest_slot_masks(instance)
         assert mask.sum() == _feasible_masks(client, f)[0].bit_count(), client
-        assert mask.sum() >= slot_bound_sum(instance)
+        assert mask.sum() == slot_bound_sum(instance)
         for k in range(f):
             assert client_feasible(np.roll(mask, k), client, f).feasible, (client, k)
+
+
+@pytest.mark.parametrize("source", ["LD8", "MD8", "bnp-tree"])
+def test_fewest_slot_masks_hold_slot_lower_bound_slots(source):
+    # pricing at zero prices finds each client's fewest slots, which the
+    # closed form gives without an LP
+    if source == "bnp-tree":
+        instances = [load_instance(p) for p in sorted((CORPUS / "bnp-tree").glob("*.json"))]
+    else:
+        instances = [generate(GenSpec.default(source[:2], 8, seed=s)) for s in range(5)]
+    for instance in instances:
+        masks = fewest_slot_masks(instance)
+        f = instance.frame_size
+        assert [int(m.sum()) for m in masks] == [slot_lower_bound(c, f) for c in instance.clients]
 
 
 def test_fewest_slot_masks_obey_the_deadline():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import AllocationHistory, compute_coefficients
+from conftest import AllocationHistory, compute_coefficients, formula_slots, random_instance
 
 from tdmcfg import heuristics
 from tdmcfg.bnp import BnpConfig, solve_bnp
@@ -23,7 +23,7 @@ from tdmcfg.heuristics import (
 )
 from tdmcfg.ilp import solve_direct
 from tdmcfg.mip import MipStatus
-from tdmcfg.model import ClientRequirement, ProblemInstance
+from tdmcfg.model import ClientRequirement, ProblemInstance, Schedule
 from tdmcfg.serialize import load_instance
 from tdmcfg.verify import schedule_feasible
 
@@ -190,3 +190,31 @@ def test_negative_run_counts_are_refused(golden_instance, monkeypatch):
     _, status, _, _, stats = solve_bnp(golden_instance, BnpConfig(heuristic_runs=0))
     assert status == MipStatus.OPTIMAL and not stats.heuristic_feasible
     assert runs == []
+
+
+def _formula_blocks(instance: ProblemInstance):
+    """``continuous_allocation`` with blocks of the paper's slot count
+    (``formula_slots``); None unless it verifies."""
+    f = instance.frame_size
+    slots = []
+    for c in sorted(instance.clients, key=lambda c: (c.effective_latency(f), c.id)):
+        slots += [c.id] * formula_slots(c, f)
+    if len(slots) > f:
+        return None
+    schedule = Schedule(tuple(slots) + (None,) * (f - len(slots)))
+    return schedule if schedule_feasible(schedule, instance).feasible else None
+
+
+def test_continuous_allocation_sizes_blocks_at_the_fewest_slots():
+    # a feasible block of the formula's size is a feasible mask of that
+    # many slots, so each client's fewest slots equal it and the blocks
+    # come out the same
+    rng = random.Random(31)
+    same = 0
+    for _ in range(300):
+        instance = random_instance(rng, max_frame=10)
+        reference = _formula_blocks(instance)
+        if reference is not None:
+            assert continuous_allocation(instance) == (reference, FEASIBLE), instance
+            same += 1
+    assert same >= 100

@@ -186,8 +186,9 @@ def test_solve_direct_counts_model_build_against_time_limit(
 
 def test_solve_direct_time_limit_covers_highs_setup():
     # HiGHS reads its clock only after its set-up, which grows with the
-    # model: at 31 000 rows it outran a 1 s limit by over a second
-    instance = generate(GenSpec.default("MD", 8, seed=0))
+    # model: at 31 000 rows it outran a 1 s limit by over a second.  MD
+    # n = 8 seed 1 is still open after 30 s
+    instance = generate(GenSpec.default("MD", 8, seed=1))
     assert build_ilp(instance).A.shape[0] < 5000
     t0 = time.monotonic()
     schedule, status, _, _ = solve_direct(instance, deadline=t0 + 1.0)
@@ -206,19 +207,27 @@ def test_solve_direct_detects_infeasible_by_capacity():
 
 
 @pytest.mark.parametrize(
-    "latency, klass, optimum",
+    "requirements, klass, optimum",
     [
-        (Fraction(1), DominanceClass.LATENCY_DOMINATED, Fraction(6, 7)),
-        (Fraction(4, 3), DominanceClass.MIXED_DOMINATED, Fraction(5, 7)),
+        (((Fraction(1, 8), Fraction(4, 3)), (Fraction(1, 8), Fraction(7, 3))),
+         DominanceClass.LATENCY_DOMINATED, Fraction(1)),
+        (((Fraction(3, 8), Fraction(7, 3)), (Fraction(1, 2), Fraction(1))),
+         DominanceClass.MIXED_DOMINATED, Fraction(1)),
     ],
     ids=["latency-dominated", "mixed-dominated"],
 )
-def test_solve_direct_adds_lazy_latency_rows(monkeypatch, latency, klass, optimum):
+def test_solve_direct_adds_lazy_latency_rows(monkeypatch, requirements, klass, optimum):
     # every client gets window rows of one length only; the lazy callback
-    # must add the others that the integral candidates break
-    client = ClientRequirement(1, "c", Fraction(3, 7), latency)
-    assert dominance_class(client, 7) == klass
-    inst = ProblemInstance(7, (client,))
+    # must add the others that the integral candidates break.  A mask of a
+    # client's fewest slots that meets the strengthened rows meets its
+    # latency, so a lone client seldom needs a lazy row; here the two
+    # clients' fewest slots (7 of 8) do not fit side by side
+    clients = tuple(
+        ClientRequirement(i, f"c{i}", rate, latency)
+        for i, (rate, latency) in enumerate(requirements, start=1)
+    )
+    assert [dominance_class(c, 8) for c in clients] == [klass] * 2
+    inst = ProblemInstance(8, clients)
     hits = []
 
     def recording(mask, client, frame_size):

@@ -20,13 +20,14 @@ from tdmcfg.model import (
     allocated_rate,
     dominance_class,
     late_windows,
+    latency_slot_bound,
     latency_witness,
     mask_bounds,
     mask_service_latency,
     service_latency,
     slot_lower_bound,
 )
-from tdmcfg.verify import Violation, client_feasible
+from tdmcfg.verify import Violation, _feasible_masks, client_feasible
 
 from conftest import (
     LrCharacterization,
@@ -131,14 +132,28 @@ def test_slot_lower_bound_and_dominance():
     bd = ClientRequirement(1, "bd", Fraction(1, 2), Fraction(9))
     assert slot_lower_bound(bd, f) == 5
     assert dominance_class(bd, f) == DominanceClass.BANDWIDTH_DOMINATED
-    # latency bound dominates: ceil(10 / (1.5 + 1)) = 4 > ceil(1) = 1
+    # latency bound dominates: ceil(10 / (1.5 + 1)) = 4 > ceil(1) = 1; but
+    # 4 of 10 slots reach latency (10 - gcd(10, 4)) / 4 = 2 at best, and
+    # 5 slots reach 1
     ld = ClientRequirement(2, "ld", Fraction(1, 10), Fraction(3, 2))
-    assert slot_lower_bound(ld, f) == 4
+    assert latency_slot_bound(ld, f) == 4
+    assert slot_lower_bound(ld, f) == 5
     assert dominance_class(ld, f) == DominanceClass.LATENCY_DOMINATED
     # equal bounds
     md = ClientRequirement(3, "md", Fraction(2, 10), Fraction(4))
     assert slot_lower_bound(md, f) == 2
     assert dominance_class(md, f) == DominanceClass.MIXED_DOMINATED
+
+
+@pytest.mark.parametrize("f", range(1, 11))
+def test_slot_lower_bound_is_the_fewest_slots_of_a_feasible_mask(f):
+    # the closed form against the brute-force oracle, which checks the rate
+    # by slot count and the latency at every cyclic window
+    latencies = sorted({Fraction(a, b) for b in (1, 2, 3) for a in range(b * f + 1)})
+    for latency in latencies + [None]:
+        for k in range(2 * f + 1):
+            client = ClientRequirement(1, "c", Fraction(k, 2 * f), latency)
+            assert slot_lower_bound(client, f) == _feasible_masks(client, f)[0].bit_count(), client
 
 
 def test_allocated_rate_and_characterization():
